@@ -6,6 +6,8 @@ up antipodally, the qudit factors attached to a paired class span equal
 orthogonal subspaces, and the subspace dimensions form a partition of n.
 `classify` computes that decomposition (or explains where it breaks down),
 and the remaining functions check the individual conditions separately.
+The checks work on three matrices: the Gram matrix of the vectors and the
+overlap moduli of their qubit factors and of their qudit factors.
 """
 
 from __future__ import annotations
@@ -19,18 +21,16 @@ from .numerics import (
     Subspace,
     Tolerances,
     as_vector,
-    canonical_phase,
     gram_residual,
-    inner,
+    inner,  # noqa: F401  unused; perfbench's tracer self-test patches it here
     orthonormalize,
     subspace_equal,
 )
 from .partitions import Partition
-from .product_space import ProductVector, factorize
+from .product_space import factor_arrays, factorize
 
 __all__ = [
     "ProductBasis",
-    "RayClass",
     "PairBlock",
     "StructureReport",
     "factorize_all",
@@ -48,31 +48,28 @@ __all__ = [
 class ProductBasis:
     """An ordered set of 2n unit vectors in C^(2n) claimed to form a product basis.
 
-    `factored` caches per-vector factorizations once they are known (either
-    because the basis was built from factors, or after `factorize_all`).  The
-    cache is the only mutable state; concurrent users of one instance must
-    treat it as read-only.
+    `vectors` is one read-only (2n, 2n) complex128 array with a row per
+    vector; nothing is cached, so an instance can be shared freely.
     """
 
-    def __init__(self, n: int, vectors, factored=None, tol: Tolerances = DEFAULT_TOL, meta=None):
+    def __init__(self, n: int, vectors, tol: Tolerances = DEFAULT_TOL, meta=None):
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
-        vecs = [np.array(as_vector(v), copy=True) for v in vectors]
+        vecs = [as_vector(v) for v in vectors]
         if len(vecs) != 2 * n:
             raise ValueError(f"expected {2 * n} vectors, got {len(vecs)}")
         for k, v in enumerate(vecs):
             if v.size != 2 * n:
                 raise ValueError(f"vector {k} has dim {v.size}, expected {2 * n}")
-            nrm2 = float(np.vdot(v, v).real)
-            if abs(nrm2 - 1.0) > tol.eps_unit:
-                raise ValueError(f"not-normalized: vector {k} has <v|v> = {nrm2!r}")
+        rows = np.array(vecs)
+        nrm2 = np.sum(np.abs(rows) ** 2, axis=1)
+        off = np.flatnonzero(np.abs(nrm2 - 1.0) > tol.eps_unit)
+        if off.size:
+            k = int(off[0])
+            raise ValueError(f"not-normalized: vector {k} has <v|v> = {float(nrm2[k])!r}")
+        rows.flags.writeable = False
         self.n = n
-        self.vectors = tuple(vecs)
-        if factored is not None:
-            factored = tuple(factored)
-            if len(factored) != 2 * n:
-                raise ValueError("factored list must align with vectors")
-        self.factored = factored
+        self.vectors = rows
         self.meta = dict(meta or {})
 
     @property
@@ -84,14 +81,6 @@ class ProductBasis:
 
     def __repr__(self):
         return f"<ProductBasis 2x{self.n}, {len(self.vectors)} vectors>"
-
-
-@dataclass(frozen=True, eq=False)
-class RayClass:
-    """A maximal set of basis positions whose qubit factors share one ray."""
-
-    representative: np.ndarray
-    member_indices: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,18 +122,12 @@ class StructureReport:
 
 
 def factorize_all(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> list:
-    """Factorize every basis vector; cache on the basis when all succeed.
+    """Factorize every basis vector; the checks below use `factor_arrays`.
 
-    Caching does not require orthonormality: a set of genuine product vectors
-    that fails to be a basis still gets its factors attached, so the grouping
-    checks below stay runnable on it.
+    Returns, per vector, a ProductVector or a NotAProduct marker carrying the
+    measured sigma_2.  Orthonormality is not required.
     """
-    if basis.factored is not None:
-        return list(basis.factored)
-    results = [factorize(v, tol) for v in basis.vectors]
-    if all(results):
-        basis.factored = tuple(results)
-    return results
+    return [factorize(v, tol) for v in basis.vectors]
 
 
 def verify_orthonormal(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
@@ -164,100 +147,93 @@ def verify_product_basis(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL):
     return (ok_orth and all(results), results)
 
 
-def _require_factored(basis: ProductBasis) -> tuple[ProductVector, ...]:
-    if basis.factored is None or not all(basis.factored):
-        raise ValueError("factorize-first: run factorize_all/verify_product_basis before this check")
-    return basis.factored
+def _product_factors(basis: ProductBasis, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Qubit (2n x 2) and qudit (2n x n) factor rows; ValueError names a non-product vector."""
+    qubits, qudits, sigma2 = factor_arrays(basis.vectors)
+    entangled = np.flatnonzero(sigma2 > tol.eps_rank)
+    if entangled.size:
+        k = int(entangled[0])
+        raise ValueError(f"vector {k} is not a product state (sigma2 {sigma2[k]:.6e})")
+    return qubits, qudits
+
+
+def _overlaps(rows: np.ndarray) -> np.ndarray:
+    """|<r_i|r_j>| for every pair of rows."""
+    return np.abs(rows.conj() @ rows.T)
 
 
 def check_pairwise_condition(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> bool:
     """For every pair i != j, at least one factor overlap vanishes."""
-    factored = _require_factored(basis)
-    d = len(factored)
-    for i in range(d):
-        for j in range(i + 1, d):
-            oa = abs(inner(factored[i].a, factored[j].a))
-            ob = abs(inner(factored[i].b, factored[j].b))
-            if min(oa, ob) > tol.eps_orth:
-                return False
-    return True
+    qubits, qudits = _product_factors(basis, tol)
+    smaller = np.minimum(_overlaps(qubits), _overlaps(qudits))
+    np.fill_diagonal(smaller, 0.0)
+    return bool(np.all(smaller <= tol.eps_orth))
 
 
-def _orthogonality_matrix(vectors, tol: Tolerances) -> list[list[bool]]:
-    d = len(vectors)
-    return [
-        [abs(inner(vectors[i], vectors[j])) <= tol.eps_orth for j in range(d)]
-        for i in range(d)
-    ]
+def _ray_classes(qubits: np.ndarray, tol: Tolerances):
+    """Ray classes of the qubit factors, and each class's orthogonal partner.
 
-
-def _qubits_pairable(adj: list[list[bool]]) -> bool:
-    """Perfect matching on the qubit orthogonality graph.
-
-    Two near-orthogonal neighbours of one qubit ray are themselves nearly
-    parallel, so at tolerances below 1e-3 this graph has no odd cycles and a
-    2-coloring always exists; Kuhn's augmenting-path matching then decides
-    perfect matchability exactly.
+    The classes are the connected components of the ray-equality graph
+    (|overlap| >= 1 - eps_ray), as tuples of basis positions ordered by
+    their first member; partner[c] is the one class orthogonal to class c
+    within eps_orth.  Raises ValueError with a diagnostic when a class is
+    internally inconsistent (transitivity degraded beyond 2*eps_ray) or the
+    classes do not pair up one to one.
     """
-    d = len(adj)
-    color = [-1] * d
+    overlap = _overlaps(qubits)
+    same = overlap >= 1.0 - tol.eps_ray
+    # Each position repeatedly takes the smallest label among its neighbours;
+    # once nothing changes, every component carries its first member's label.
+    positions = labels = np.arange(len(qubits))
+    while True:
+        smallest = np.min(np.where(same, labels, len(labels)), axis=1)
+        if np.array_equal(smallest, labels):
+            break
+        labels = smallest
+    firsts = np.flatnonzero(labels == positions)
+    classes = [tuple(np.flatnonzero(labels == first).tolist()) for first in firsts]
+    loose = (labels[:, None] == labels) & (1.0 - overlap >= 2.0 * tol.eps_ray)
+    if loose.any():
+        u, v = (int(x) for x in np.argwhere(loose)[0])
+        members = list(next(c for c in classes if u in c))
+        raise ValueError(
+            f"ray class {members} is internally inconsistent: "
+            f"vectors {u} and {v} differ by more than 2*eps_ray"
+        )
+    orthogonal = overlap[np.ix_(firsts, firsts)] <= tol.eps_orth
+    counts = orthogonal.sum(axis=1)
+    unpaired = np.flatnonzero(counts != 1)
+    if unpaired.size:
+        c = int(unpaired[0])
+        if counts[c] == 0:
+            raise ValueError(f"ray class {classes[c]} has no orthogonal partner class")
+        raise ValueError(
+            f"ambiguous partner for ray class {classes[c]}: "
+            f"{counts[c]} classes are orthogonal within eps_orth"
+        )
+    partner = np.argmax(orthogonal, axis=1)
+    if np.any(partner[partner] != np.arange(len(classes))):
+        raise ValueError("partner assignment is not a perfect matching on ray classes")
+    return classes, partner
+
+
+def _two_colourable(meets: np.ndarray) -> bool:
+    """Whether the graph with adjacency matrix `meets` is bipartite: breadth-first
+    layers alternate the colours, and the colouring found is proper exactly when any is."""
+    d = len(meets)
+    np.fill_diagonal(meets, False)
+    colour = np.full(d, -1)
     for start in range(d):
-        if color[start] != -1:
+        if colour[start] >= 0:
             continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in range(d):
-                if not adj[u][v] or v == u:
-                    continue
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    raise ValueError("orthogonality graph has an odd cycle; tolerances are inconsistent")
-    left = [v for v in range(d) if color[v] == 0]
-    right = [v for v in range(d) if color[v] == 1]
-    if len(left) != len(right):
-        return False
-    match: dict[int, int] = {}
-
-    def augment(u: int, seen: set[int]) -> bool:
-        for v in right:
-            if not adj[u][v] or v in seen:
-                continue
-            seen.add(v)
-            if v not in match or augment(match[v], seen):
-                match[v] = u
-                return True
-        return False
-
-    matched = sum(1 for u in left if augment(u, set()))
-    return matched == len(left)
-
-
-def _qudits_two_bases(adj: list[list[bool]], n: int) -> bool:
-    """Exact cover of the 2n qudit factors by two orthonormal size-n groups."""
-    d = len(adj)
-    if d != 2 * n:
-        return False
-    groups: tuple[list[int], list[int]] = ([], [])
-
-    def place(i: int) -> bool:
-        if i == d:
-            return True
-        for g in (0, 1):
-            members = groups[g]
-            if len(members) < n and all(adj[i][j] for j in members):
-                members.append(i)
-                if place(i + 1):
-                    return True
-                members.pop()
-            if i == 0:
-                break  # vector 0 pinned to group 0: group labels are symmetric
-        return False
-
-    return place(0)
+        layer = np.zeros(d, dtype=bool)
+        layer[start] = True
+        parity = 0
+        while layer.any():
+            colour[layer] = parity
+            layer = meets[layer].any(axis=0) & (colour < 0)
+            parity ^= 1
+    return not np.any(meets & (colour[:, None] == colour))
 
 
 def check_groupable(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -265,66 +241,32 @@ def check_groupable(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> bool:
     pairs and qudit factors into 2 orthonormal bases of C^n.
 
     This is strictly weaker than being a product basis; sets exist that group
-    cleanly yet are not orthonormal in C^(2n).
+    cleanly yet are not orthonormal in C^(2n).  In C^2 every ray orthogonal
+    to a given one is the same ray, so the qubit factors pair up exactly when
+    each ray class has one orthogonal partner class of equal size.
+
+    Non-orthogonal qudit factors must land in different groups, so a split
+    is a 2-colouring of the graph of non-orthogonal pairs.  Any such
+    colouring is balanced: n + 1 pairwise-orthogonal unit vectors in C^n
+    would have a Gram matrix within n * eps_orth < 1 of the identity (for
+    eps_orth < 1e-3 and n < 1000), hence nonsingular, which is impossible;
+    so each colour holds at most n of the 2n vectors, that is exactly n.
     """
-    factored = _require_factored(basis)
-    qubit_adj = _orthogonality_matrix([pv.a for pv in factored], tol)
-    if not _qubits_pairable(qubit_adj):
+    qubits, qudits = _product_factors(basis, tol)
+    try:
+        classes, partner = _ray_classes(qubits, tol)
+    except ValueError:
         return False
-    qudit_adj = _orthogonality_matrix([pv.b for pv in factored], tol)
-    return _qudits_two_bases(qudit_adj, basis.n)
-
-
-def _ray_classes(qubits: list[np.ndarray], tol: Tolerances) -> list[RayClass] | str:
-    """Union-find clustering of qubit factors by ray equality.
-
-    Returns a diagnostic string instead when a cluster is internally
-    inconsistent (transitivity degraded beyond 2*eps_ray).
-    """
-    d = len(qubits)
-    parent = list(range(d))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(d):
-        for j in range(i + 1, d):
-            if abs(inner(qubits[i], qubits[j])) >= 1.0 - tol.eps_ray:
-                parent[find(i)] = find(j)
-    clusters: dict[int, list[int]] = {}
-    for i in range(d):
-        clusters.setdefault(find(i), []).append(i)
-    classes = []
-    for members in sorted(clusters.values(), key=lambda ms: ms[0]):
-        for u in members:
-            for v in members:
-                if u < v and 1.0 - abs(inner(qubits[u], qubits[v])) >= 2.0 * tol.eps_ray:
-                    return (
-                        f"ray class {members} is internally inconsistent: "
-                        f"vectors {u} and {v} differ by more than 2*eps_ray"
-                    )
-        classes.append(RayClass(canonical_phase(qubits[members[0]]), tuple(members)))
-    return classes
-
-
-def _same_ray_sets(group1, group2, tol: Tolerances) -> bool:
-    """Whether two orthonormal families coincide as sets of rays."""
-    if len(group1) != len(group2):
+    if any(len(classes[c]) != len(classes[e]) for c, e in enumerate(partner)):
         return False
-    used = [False] * len(group2)
-    for u in group1:
-        hits = [
-            j
-            for j, v in enumerate(group2)
-            if not used[j] and abs(inner(u, v)) >= 1.0 - tol.eps_ray
-        ]
-        if len(hits) != 1:
-            return False
-        used[hits[0]] = True
-    return True
+    return _two_colourable(_overlaps(qudits) > tol.eps_orth)
+
+
+def _same_ray_sets(group1: np.ndarray, group2: np.ndarray, tol: Tolerances) -> bool:
+    """Whether two orthonormal families coincide as sets of rays: their
+    near-parallel pairs form a permutation."""
+    parallel = np.abs(group1.conj() @ group2.T) >= 1.0 - tol.eps_ray
+    return bool(np.all(parallel.sum(axis=0) == 1) and np.all(parallel.sum(axis=1) == 1))
 
 
 def classify(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> StructureReport:
@@ -339,117 +281,71 @@ def classify(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> StructureRep
     residual is reported either way.
     """
     ok_orth, residual = verify_orthonormal(basis, tol)
-    factored = factorize_all(basis, tol)
-    diags: list[str] = []
 
-    def failed() -> StructureReport:
-        return StructureReport(valid=False, gram_residual=residual, diagnostics=tuple(diags))
+    def failed(diagnostic: str) -> StructureReport:
+        return StructureReport(valid=False, gram_residual=residual, diagnostics=(diagnostic,))
 
     if not ok_orth:
-        diags.append(f"not orthonormal: Gram residual {residual:.6e} exceeds eps_orth")
-        return failed()
-    for k, res in enumerate(factored):
-        if not res:
-            diags.append(f"vector {k} is not a product state (sigma2 {res.sigma2:.6e})")
-            return failed()
-
-    qubits = [pv.a for pv in factored]
-    qudits = [pv.b for pv in factored]
-
-    classes = _ray_classes(qubits, tol)
-    if isinstance(classes, str):
-        diags.append(classes)
-        return failed()
-
-    k = len(classes)
-    overlap = [[abs(inner(classes[i].representative, classes[j].representative)) for j in range(k)] for i in range(k)]
-    partner = [-1] * k
-    for c in range(k):
-        candidates = [e for e in range(k) if e != c and overlap[c][e] <= tol.eps_orth]
-        if not candidates:
-            diags.append(
-                f"ray class {classes[c].member_indices} has no orthogonal partner class"
-            )
-            return failed()
-        if len(candidates) > 1:
-            diags.append(
-                f"ambiguous partner for ray class {classes[c].member_indices}: "
-                f"{len(candidates)} classes are orthogonal within eps_orth"
-            )
-            return failed()
-        partner[c] = candidates[0]
-    for c in range(k):
-        if partner[partner[c]] != c:
-            diags.append("partner assignment is not a perfect matching on ray classes")
-            return failed()
+        return failed(f"not orthonormal: Gram residual {residual:.6e} exceeds eps_orth")
+    try:
+        qubits, qudits = _product_factors(basis, tol)
+        classes, partner = _ray_classes(qubits, tol)
+    except ValueError as exc:
+        return failed(str(exc))
 
     blocks: list[PairBlock] = []
-    for c in range(k):
-        e = partner[c]
+    for c, e in enumerate(partner):
         if c > e:
             continue
-        cls_a, cls_p = classes[c], classes[e]
-        if cls_p.member_indices[0] < cls_a.member_indices[0]:
-            cls_a, cls_p = cls_p, cls_a
-        if len(cls_a.member_indices) != len(cls_p.member_indices):
-            diags.append(
-                f"paired ray classes {cls_a.member_indices} and {cls_p.member_indices} "
-                f"have unequal cardinalities"
-            )
-            return failed()
-        group_a = [qudits[i] for i in cls_a.member_indices]
-        group_p = [qudits[i] for i in cls_p.member_indices]
+        idx_a, idx_p = classes[c], classes[e]
+        if len(idx_a) != len(idx_p):
+            return failed(f"paired ray classes {idx_a} and {idx_p} have unequal cardinalities")
+        group_a = qudits[list(idx_a)]
+        group_p = qudits[list(idx_p)]
         for name, group in (("A", group_a), ("A-perp", group_p)):
             res = gram_residual(group)
             if res > tol.eps_orth:
-                diags.append(
-                    f"qudit group {name} of block {cls_a.member_indices} is not "
-                    f"orthonormal (residual {res:.6e})"
+                return failed(
+                    f"qudit group {name} of block {idx_a} is not orthonormal (residual {res:.6e})"
                 )
-                return failed()
         span_a = orthonormalize(group_a, tol)
         span_p = orthonormalize(group_p, tol)
-        if span_a.dim != len(group_a) or not subspace_equal(span_a, span_p, tol):
-            diags.append(
-                f"qudit groups of block {cls_a.member_indices} do not span one "
-                f"common subspace of dimension {len(group_a)}"
+        if span_a.dim != len(idx_a) or not subspace_equal(span_a, span_p, tol):
+            return failed(
+                f"qudit groups of block {idx_a} do not span one "
+                f"common subspace of dimension {len(idx_a)}"
             )
-            return failed()
         blocks.append(
             PairBlock(
-                a=cls_a.representative,
-                a_perp=cls_p.representative,
+                a=qubits[idx_a[0]],
+                a_perp=qubits[idx_p[0]],
                 group_A=tuple(group_a),
                 group_Aperp=tuple(group_p),
                 subspace=span_a,
-                multiplicity=len(group_a),
-                a_indices=cls_a.member_indices,
-                a_perp_indices=cls_p.member_indices,
+                multiplicity=len(idx_a),
+                a_indices=idx_a,
+                a_perp_indices=idx_p,
                 groups_coincide=_same_ray_sets(group_a, group_p, tol),
             )
         )
 
     blocks.sort(key=lambda blk: (-blk.multiplicity, blk.a_indices[0]))
     if sum(blk.multiplicity for blk in blocks) != basis.n:
-        diags.append("block multiplicities do not sum to n")
-        return failed()
+        return failed("block multiplicities do not sum to n")
     basis_b1 = tuple(v for blk in blocks for v in blk.group_A)
     basis_b2 = tuple(v for blk in blocks for v in blk.group_Aperp)
     for name, family in (("B1(n)", basis_b1), ("B2(n)", basis_b2)):
         res = gram_residual(family)
         if res > tol.eps_orth:
-            diags.append(f"{name} is not an orthonormal basis of C^n (residual {res:.6e})")
-            return failed()
-    right_type = Partition(tuple(blk.multiplicity for blk in blocks))
+            return failed(f"{name} is not an orthonormal basis of C^n (residual {res:.6e})")
     return StructureReport(
         valid=True,
         gram_residual=residual,
         blocks=tuple(blocks),
-        right_type=right_type,
+        right_type=Partition(tuple(blk.multiplicity for blk in blocks)),
         basis_B1n=basis_b1,
         basis_B2n=basis_b2,
         is_direct_product=(len(blocks) == 1 and blocks[0].groups_coincide),
-        diagnostics=tuple(diags),
     )
 
 
@@ -457,7 +353,7 @@ def swap_factors(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> ProductB
     """The same vectors with qubit and qudit factors exchanged (n = 2 only)."""
     if basis.n != 2:
         raise ValueError("factor swap is only defined for 2 x 2")
-    swapped = [v.reshape(2, 2).T.reshape(4).copy() for v in basis.vectors]
+    swapped = basis.vectors.reshape(4, 2, 2).transpose(0, 2, 1).reshape(4, 4)
     return ProductBasis(2, swapped, tol=tol)
 
 

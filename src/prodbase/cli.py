@@ -27,7 +27,7 @@ from .analyzer import (
     verify_orthonormal,
 )
 from .generator import FAMILY_TAGS, FamilyParams, TypeSpec, generate_from_type, named_family
-from .numerics import DEFAULT_TOL, Tolerances, as_vector
+from .numerics import DEFAULT_TOL, Tolerances, as_vector, check_tolerance
 from .partitions import Partition, partition_count, partitions_of, type_count_lower_bound
 
 __all__ = ["main", "load_basis_file", "save_basis_file", "BasisFileError"]
@@ -73,6 +73,7 @@ def load_basis_file(path, tol: Tolerances = DEFAULT_TOL) -> ProductBasis:
         or len(dims) != 2
         or dims[0] != 2
         or not isinstance(dims[1], int)
+        or isinstance(dims[1], bool)
         or dims[1] < 1
     ):
         raise BasisFileError(f"{path}: dims must be [2, n] with positive integer n")
@@ -103,15 +104,23 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(f"{z.real:.6g}{z.imag:+.6g}j" for z in as_vector(v)) + ")"
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of a tolerance: a float inside the range Tolerances accepts."""
+    try:
+        return check_tolerance("tolerance", float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _tolerances(args) -> Tolerances:
-    eps_orth = getattr(args, "tol_orth", None)
+    eps_orth = args.tol_orth
     if eps_orth is None:
         env = os.environ.get(ENV_TOL_ORTH)
-        eps_orth = float(env) if env else DEFAULT_TOL.eps_orth
-    eps_rank = getattr(args, "tol_rank", None)
-    if eps_rank is None:
-        eps_rank = DEFAULT_TOL.eps_rank
-    return Tolerances(eps_orth=eps_orth, eps_rank=eps_rank)
+        try:
+            eps_orth = _tolerance(env) if env else DEFAULT_TOL.eps_orth
+        except argparse.ArgumentTypeError as exc:
+            raise argparse.ArgumentTypeError(f"{ENV_TOL_ORTH}: {exc}") from None
+    return Tolerances(eps_orth=eps_orth, eps_rank=args.tol_rank)
 
 
 def cmd_verify(args) -> int:
@@ -278,8 +287,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_tol_flags(p):
-        p.add_argument("--tol-orth", type=float, default=None, help="orthogonality tolerance")
-        p.add_argument("--tol-rank", type=float, default=None, help="rank cutoff tolerance")
+        p.add_argument("--tol-orth", type=_tolerance, default=None, help="orthogonality tolerance")
+        p.add_argument(
+            "--tol-rank", type=_tolerance, default=DEFAULT_TOL.eps_rank, help="rank cutoff tolerance"
+        )
 
     p_verify = sub.add_parser("verify", help="verify a basis file")
     p_verify.add_argument("path")
@@ -325,7 +336,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BasisFileError as exc:
+    except (BasisFileError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -29,7 +29,7 @@ from .numerics import (
     orthonormalize,
 )
 from .partitions import MAX_N, Partition
-from .product_space import ProductVector, kron, qubit_orthogonal
+from .product_space import kron, qubit_orthogonal
 
 __all__ = [
     "SKEW_MARGIN",
@@ -236,14 +236,9 @@ def generate_from_type(spec: TypeSpec, tol: Tolerances = DEFAULT_TOL) -> Product
     qubit_p = [qubit_orthogonal(a) for a in qubit_a]
 
     vectors: list[np.ndarray] = []
-    factored: list[ProductVector] = []
     for a, ap, cols_a, cols_p in zip(qubit_a, qubit_p, groups_a, groups_p):
-        for b in cols_a:
-            vectors.append(kron(a, b))
-            factored.append(ProductVector(a=a, b=b, full=vectors[-1]))
-        for b in cols_p:
-            vectors.append(kron(ap, b))
-            factored.append(ProductVector(a=ap, b=b, full=vectors[-1]))
+        vectors.extend(kron(a, b) for b in cols_a)
+        vectors.extend(kron(ap, b) for b in cols_p)
 
     meta = {
         "partition": str(spec.partition),
@@ -252,20 +247,12 @@ def generate_from_type(spec: TypeSpec, tol: Tolerances = DEFAULT_TOL) -> Product
         "pair_mode": spec.pair_mode,
         "qubit_mode": spec.qubit_mode,
     }
-    return ProductBasis(n, vectors, factored=factored, tol=tol, meta=meta)
+    return ProductBasis(n, vectors, tol=tol, meta=meta)
 
 
 def _basis_from_factors(n: int, pairs, meta=None, tol: Tolerances = DEFAULT_TOL) -> ProductBasis:
     """Assemble a ProductBasis from (qubit, qudit) factor pairs."""
-    vectors = []
-    factored = []
-    for a, b in pairs:
-        a = as_vector(a)
-        b = as_vector(b)
-        full = kron(a, b)
-        vectors.append(full)
-        factored.append(ProductVector(a=a, b=b, full=full))
-    return ProductBasis(n, vectors, factored=factored, tol=tol, meta=meta)
+    return ProductBasis(n, [kron(a, b) for a, b in pairs], tol=tol, meta=meta)
 
 
 def _qubit_pair(state) -> tuple[np.ndarray, np.ndarray]:

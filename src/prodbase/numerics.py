@@ -16,6 +16,7 @@ __all__ = [
     "OMEGA2",
     "Tolerances",
     "DEFAULT_TOL",
+    "check_tolerance",
     "Subspace",
     "as_vector",
     "inner",
@@ -24,6 +25,7 @@ __all__ = [
     "gram_residual",
     "orthonormalize",
     "singular_values_2xn",
+    "singular_values_2xn_stack",
     "subspace_equal",
 ]
 
@@ -49,9 +51,14 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("eps_orth", "eps_unit", "eps_rank", "eps_ray"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1e-3:
-                raise ValueError(f"{name} must lie strictly inside (0, 1e-3), got {value!r}")
+            check_tolerance(name, getattr(self, name))
+
+
+def check_tolerance(name: str, value: float) -> float:
+    """`value` when it lies strictly inside (0, 1e-3); ValueError otherwise."""
+    if not 0.0 < value < 1e-3:
+        raise ValueError(f"{name} must lie strictly inside (0, 1e-3), got {value!r}")
+    return value
 
 
 DEFAULT_TOL = Tolerances()
@@ -86,8 +93,15 @@ def canonical_phase(v) -> np.ndarray:
     """Multiply by the unit scalar making the largest-modulus entry real positive.
 
     Ties are broken by lowest index, so equivalent rays map to one
-    deterministic representative.
+    deterministic representative.  A 2-d array is canonicalized row by row; a
+    single vector keeps scalar arithmetic so generated bases reproduce bit for bit.
     """
+    if np.ndim(v) == 2:
+        rows = np.asarray(v, dtype=np.complex128)
+        pivot = rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)]
+        if np.any(pivot == 0):
+            raise ValueError("cannot phase-canonicalize the zero vector")
+        return rows * (np.abs(pivot) / pivot)[:, None]
     v = as_vector(v)
     k = int(np.argmax(np.abs(v)))
     pivot = v[k]
@@ -162,7 +176,16 @@ def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> Subspace:
 
 
 def singular_values_2xn(m) -> tuple[float, float]:
-    """The two singular values (descending) of a matrix with 2 rows.
+    """The two singular values (descending) of a matrix with 2 rows."""
+    M = np.asarray(m, dtype=np.complex128)
+    if M.ndim != 2 or M.shape[0] != 2:
+        raise ValueError(f"expected a matrix with 2 rows, got shape {M.shape}")
+    s1, s2 = singular_values_2xn_stack(M[None])
+    return (float(s1[0]), float(s2[0]))
+
+
+def singular_values_2xn_stack(ms) -> tuple[np.ndarray, np.ndarray]:
+    """Both singular values of every matrix in a (k, 2, n) stack, descending.
 
     Closed form from the 2x2 Gram quadratic, evaluated on the row-triangular
     parameterization (row norms plus the orthogonalized cross term) rather
@@ -170,30 +193,24 @@ def singular_values_2xn(m) -> tuple[float, float]:
     catastrophically for near-rank-1 input and would floor sigma_2 at
     ~sqrt(machine eps); this form keeps sigma_2 accurate down to ~1e-16.
     """
-    M = np.asarray(m, dtype=np.complex128)
-    if M.ndim != 2 or M.shape[0] != 2:
-        raise ValueError(f"expected a matrix with 2 rows, got shape {M.shape}")
-    r0, r1 = M[0], M[1]
-    n0 = float(np.linalg.norm(r0))
-    n1 = float(np.linalg.norm(r1))
-    if n1 > n0:
-        r0, r1 = r1, r0
-        n0, n1 = n1, n0
-    if n0 == 0.0:
-        return (0.0, 0.0)
-    u = r0 / n0
-    c1 = np.vdot(u, r1)
-    w = r1 - c1 * u
-    c2 = np.vdot(u, w)
-    w = w - c2 * u
-    beta = abs(c1 + c2)
-    gamma = float(np.linalg.norm(w))
+    M = np.asarray(ms, dtype=np.complex128)
+    norms = np.linalg.norm(M, axis=2)
+    # the longer row goes first, so the cross term is taken against it
+    M = np.where((norms[:, 1] > norms[:, 0])[:, None, None], M[:, ::-1], M)
+    n0 = np.max(norms, axis=1)
+    r0, r1 = M[:, 0], M[:, 1]
+    u = r0 / np.where(n0 > 0.0, n0, 1.0)[:, None]
+    c1 = np.sum(u.conj() * r1, axis=1)
+    w = r1 - c1[:, None] * u
+    c2 = np.sum(u.conj() * w, axis=1)
+    w = w - c2[:, None] * u
+    beta = np.abs(c1 + c2)
+    gamma = np.linalg.norm(w, axis=1)
     t = n0 * n0 + beta * beta + gamma * gamma
     d = (n0 * gamma) ** 2
-    disc = max(t * t - 4.0 * d, 0.0)
-    lam1 = 0.5 * (t + math.sqrt(disc))
-    lam2 = d / lam1 if lam1 > 0.0 else 0.0
-    return (math.sqrt(lam1), math.sqrt(lam2))
+    lam1 = 0.5 * (t + np.sqrt(np.maximum(t * t - 4.0 * d, 0.0)))
+    lam2 = np.divide(d, lam1, out=np.zeros_like(d), where=lam1 > 0.0)
+    return (np.sqrt(lam1), np.sqrt(lam2))
 
 
 def subspace_equal(s: Subspace, t: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:

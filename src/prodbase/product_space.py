@@ -7,7 +7,6 @@ vector of C^(2n) to a 2 x n matrix recovers the outer product of its factors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +16,12 @@ from .numerics import (
     Tolerances,
     as_vector,
     canonical_phase,
+    inner,
     singular_values_2xn,
+    singular_values_2xn_stack,
 )
 
-__all__ = ["ProductVector", "NotAProduct", "kron", "factorize", "qubit_orthogonal"]
+__all__ = ["ProductVector", "NotAProduct", "kron", "factor_arrays", "factorize", "qubit_orthogonal"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,17 +57,29 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def _dominant_left_factor(M: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of the 2x2 Gram M M^H for its largest eigenvalue."""
-    g = M @ M.conj().T
-    p = g[0, 0].real
-    s = g[1, 1].real
-    q = g[0, 1]
-    lam1 = 0.5 * (p + s + math.sqrt((p - s) * (p - s) + 4.0 * abs(q) ** 2))
-    cand1 = np.array([q, lam1 - p], dtype=np.complex128)
-    cand2 = np.array([lam1 - s, np.conj(q)], dtype=np.complex128)
-    v = cand1 if np.linalg.norm(cand1) >= np.linalg.norm(cand2) else cand2
-    return v / np.linalg.norm(v)
+def _dominant_factors(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-canonicalized unit factors of the dominant singular pair of each
+    matrix in a (k, 2, n) stack: qubit factors (k x 2), qudit factors (k x n)."""
+    _, eigvecs = np.linalg.eigh(M @ M.conj().transpose(0, 2, 1))
+    a = canonical_phase(eigvecs[:, :, 1])  # eigenvalues ascend: the last one is dominant
+    b = np.einsum("ki,kij->kj", a.conj(), M)
+    return a, canonical_phase(b / np.linalg.norm(b, axis=1, keepdims=True))
+
+
+def factor_arrays(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factorize every row of a (k, 2n) array in one batched call.
+
+    Returns (A, B, sigma2): each row's qubit factor (k x 2) and qudit factor
+    (k x n) as `factorize` would give them, and the second singular value of
+    its 2 x n reshape.  A row is a product state exactly when its sigma_2 is
+    negligible; for an entangled row A and B hold only its dominant pair.
+    """
+    rows = np.asarray(rows, dtype=np.complex128)
+    k, dim = rows.shape
+    M = rows.reshape(k, 2, dim // 2)
+    _, sigma2 = singular_values_2xn_stack(M)
+    a, b = _dominant_factors(M)
+    return a, b, sigma2
 
 
 def factorize(v, tol: Tolerances = DEFAULT_TOL):
@@ -77,7 +90,8 @@ def factorize(v, tol: Tolerances = DEFAULT_TOL):
     measured sigma_2 comes back.  Otherwise the dominant singular pair is
     returned as a `ProductVector` with both factors unit and
     phase-canonicalized, and the residual global phase recorded so that
-    ``v == pv.phase * pv.full`` up to roundoff.
+    ``v == pv.phase * pv.full`` up to roundoff.  It runs the code of
+    `factor_arrays` on one row.
     """
     v = as_vector(v)
     if v.size % 2 != 0:
@@ -90,11 +104,9 @@ def factorize(v, tol: Tolerances = DEFAULT_TOL):
     _, sigma2 = singular_values_2xn(M)
     if sigma2 > tol.eps_rank:
         return NotAProduct(sigma2=sigma2)
-    a = canonical_phase(_dominant_left_factor(M))
-    b_raw = a.conj() @ M
-    b = canonical_phase(b_raw / np.linalg.norm(b_raw))
-    full = np.kron(a, b)
-    ph = complex(np.vdot(full, v))
+    (a,), (b,) = _dominant_factors(M[None])
+    full = np.outer(a, b).ravel()
+    ph = inner(full, v)
     return ProductVector(a=a, b=b, full=full, phase=ph / abs(ph))
 
 

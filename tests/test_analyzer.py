@@ -1,8 +1,11 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodbase.analyzer import (
     ProductBasis,
@@ -17,8 +20,8 @@ from prodbase.analyzer import (
     verify_product_basis,
 )
 from prodbase.generator import FamilyParams, TypeSpec, generate_from_type, named_family
-from prodbase.numerics import inner, orthonormalize, subspace_equal
-from prodbase.partitions import Partition
+from prodbase.numerics import DEFAULT_TOL, inner, orthonormalize, subspace_equal
+from prodbase.partitions import Partition, partitions_of
 from prodbase.product_space import NotAProduct, kron
 
 RT2 = math.sqrt(2.0)
@@ -77,7 +80,9 @@ def test_verify_product_basis_computational():
     assert ok
     assert len(results) == 6
     assert all(results)
-    assert basis.factored is not None
+    # factorization is a pure function of the basis: a second call agrees
+    again = factorize_all(basis)
+    assert all(np.array_equal(p.full, q.full) for p, q in zip(results, again))
 
 
 def test_verify_product_basis_bell_completion():
@@ -98,17 +103,17 @@ def test_check_pairwise_counterexample_false():
     basis = named_family(FamilyParams("counterexample_1_4"))
     assert not check_pairwise_condition(basis)
     # the violating pair: both overlaps 1/sqrt(2)
-    f = basis.factored
+    f = factorize_all(basis)
     assert abs(abs(inner(f[0].a, f[3].a)) - 1 / RT2) < 1e-12
     assert abs(abs(inner(f[0].b, f[3].b)) - 1 / RT2) < 1e-12
 
 
-def test_checks_require_factored():
+def test_checks_run_on_fresh_basis():
     basis = computational_basis(2)
-    with pytest.raises(ValueError, match="factorize-first"):
-        check_pairwise_condition(basis)
-    with pytest.raises(ValueError, match="factorize-first"):
-        check_groupable(basis)
+    assert check_pairwise_condition(basis) and check_groupable(basis)
+    for check in (check_pairwise_condition, check_groupable):
+        with pytest.raises(ValueError, match="vector 0 is not a product"):
+            check(bell_completion_basis())
 
 
 def test_check_groupable_valid_basis():
@@ -277,3 +282,141 @@ def test_product_basis_validation():
         ProductBasis(2, [eye[:, 0]])
     with pytest.raises(ValueError, match="not-normalized"):
         ProductBasis(2, [2 * eye[:, 0], eye[:, 1], eye[:, 2], eye[:, 3]])
+
+
+def test_product_basis_vectors_are_one_read_only_array():
+    basis = computational_basis(3)
+    assert basis.vectors.shape == (6, 6) and basis.vectors.dtype == np.complex128
+    with pytest.raises(ValueError):
+        basis.vectors[0, 0] = 0.0
+
+
+def test_check_groupable_adversarial_family_is_fast():
+    # standard vectors, a copy of all but the last, and the uniform vector,
+    # qubits alternating |0>/|1>: the uniform vector meets every other qudit
+    # factor, so no grouping exists; the time bound catches any search that
+    # has to try exact covers to learn that, whose cost doubles per unit of n
+    n = 64
+    eye = np.eye(n)
+    qudits = [*eye, *eye[: n - 1], np.full(n, 1.0 / math.sqrt(n))]
+    basis = ProductBasis(n, [kron((KET0, KET1)[k % 2], b) for k, b in enumerate(qudits)])
+    start = time.perf_counter()
+    assert not check_groupable(basis)
+    assert time.perf_counter() - start < 1.0
+
+
+def _unitary(rng, d):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _qudit_pool(n):
+    """Standard basis, Fourier basis and (e0 +- e1)/sqrt2: every overlap is 0 or >= 1/3."""
+    fourier = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / math.sqrt(n)
+    pool = [*np.eye(n, dtype=complex), *fourier]
+    if n >= 2:
+        pool += [(np.eye(n)[0] + s * np.eye(n)[1]) / RT2 for s in (1, -1)]
+    return pool
+
+
+QUBIT_POOL = (KET0, KET1, PLUS, MINUS, (KET0 + 1j * KET1) / RT2, (KET0 - 1j * KET1) / RT2)
+
+
+@st.composite
+def grouping_inputs(draw):
+    """Qubit and qudit factors drawn from fixed pools, then turned by one
+    random unitary per side, so every overlap is exactly 0, exactly 1 or far
+    from both."""
+    n = draw(st.integers(1, 4))
+    d = 2 * n
+    pool = _qudit_pool(n)
+    qubit_ids = draw(
+        st.one_of(
+            st.permutations([0, 1] * n),
+            st.permutations([0, 1, 2, 3] * (n // 2) + [0, 1] * (n % 2)),
+            st.lists(st.integers(0, len(QUBIT_POOL) - 1), min_size=d, max_size=d),
+        )
+    )
+    qudit_ids = draw(
+        st.one_of(
+            st.permutations(list(range(n)) * 2),
+            st.permutations(list(range(2 * n))),
+            st.lists(st.integers(0, len(pool) - 1), min_size=d, max_size=d),
+        )
+    )
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32 - 1))))
+    u2, un = _unitary(rng, 2), _unitary(rng, n)
+    qubits = np.array([u2 @ QUBIT_POOL[i] for i in qubit_ids])
+    qudits = np.array([un @ pool[i] for i in qudit_ids])
+    return n, qubits, qudits
+
+
+def _groupable_by_brute_force(qubits, qudits, eps):
+    """Reference for check_groupable: every pairing of the qubit factors and
+    every n-subset of the qudit factors."""
+    d = len(qubits)
+    qubit_orth = np.abs(qubits.conj() @ qubits.T) <= eps
+    qudit_orth = np.abs(qudits.conj() @ qudits.T) <= eps
+
+    def pairable(rest):
+        if not rest:
+            return True
+        first, others = rest[0], rest[1:]
+        return any(
+            qubit_orth[first, j] and pairable(others[:k] + others[k + 1 :])
+            for k, j in enumerate(others)
+        )
+
+    def orthogonal(group):
+        return all(qudit_orth[i, j] for i, j in itertools.combinations(group, 2))
+
+    halves = any(
+        orthogonal(half) and orthogonal([k for k in range(d) if k not in half])
+        for half in itertools.combinations(range(d), d // 2)
+    )
+    return pairable(tuple(range(d))) and halves
+
+
+@settings(max_examples=300, deadline=None)
+@given(grouping_inputs())
+def test_check_groupable_matches_brute_force(case):
+    n, qubits, qudits = case
+    tol = DEFAULT_TOL
+    for factors in (qubits, qudits):
+        ov = np.abs(factors.conj() @ factors.T)
+        assert np.all((ov <= tol.eps_orth / 100) | (ov >= 100 * tol.eps_orth))
+        assert np.all((ov >= 1 - tol.eps_ray / 100) | (ov <= 1 - 100 * tol.eps_ray))
+    basis = ProductBasis(n, [kron(a, b) for a, b in zip(qubits, qudits)])
+    assert check_groupable(basis) == _groupable_by_brute_force(qubits, qudits, tol.eps_orth)
+
+
+@st.composite
+def classify_inputs(draw):
+    if draw(st.booleans()):
+        tag = draw(st.sampled_from(("d4_B0", "d4_B1", "d4_B2", "d6_B1", "d6_B3", "counterexample_1_4")))
+        return named_family(FamilyParams(tag))
+    n = draw(st.integers(1, 6))
+    spec = TypeSpec(
+        n=n,
+        partition=draw(st.sampled_from(partitions_of(n))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        pair_mode=draw(st.sampled_from(("equal-groups", "independent-groups"))),
+    )
+    return generate_from_type(spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(classify_inputs(), st.integers(0, 2**32 - 1))
+def test_classify_stable_below_tolerance(basis, seed):
+    # every vector moves by eps_orth / 100 in a random direction
+    rng = np.random.Generator(np.random.Philox(seed))
+    shape = basis.vectors.shape
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    noise *= DEFAULT_TOL.eps_orth / 100 / np.linalg.norm(noise, axis=1, keepdims=True)
+    moved = basis.vectors + noise
+    moved /= np.linalg.norm(moved, axis=1, keepdims=True)
+    before = classify(basis)
+    after = classify(ProductBasis(basis.n, moved))
+    assert after.valid == before.valid
+    assert after.right_type == before.right_type

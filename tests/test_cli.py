@@ -244,3 +244,30 @@ def test_load_rejects_malformed_meta(tmp_path):
     path.write_text(json.dumps({"dims": [2, 1], "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "meta": 3}))
     with pytest.raises(BasisFileError):
         load_basis_file(path)
+
+
+def test_load_rejects_bool_dimension(tmp_path, capsys):
+    # a bool is an int in Python: [2, true] must not pass as n = 1
+    path = tmp_path / "bool_dims.json"
+    path.write_text(json.dumps({"dims": [2, True], "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["--tol-orth", "--tol-rank"])
+def test_out_of_range_tolerance_flag_is_usage_error(tmp_path, capsys, flag):
+    path = tmp_path / "comp.json"
+    save_basis_file(path, computational_basis(2))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(path), flag, "1"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "1"])
+def test_bad_tolerance_env_is_usage_error(tmp_path, capsys, monkeypatch, value):
+    path = tmp_path / "comp.json"
+    save_basis_file(path, computational_basis(2))
+    monkeypatch.setenv("PRODBASE_TOL_ORTH", value)
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: PRODBASE_TOL_ORTH")

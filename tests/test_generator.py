@@ -7,6 +7,7 @@ import pytest
 from prodbase.analyzer import (
     ProductBasis,
     classify,
+    factorize_all,
     mu_check,
     verify_orthonormal,
     verify_product_basis,
@@ -159,7 +160,7 @@ def test_counterexample_is_not_a_basis():
     basis = named_family(FamilyParams("counterexample_1_4"))
     ok, _ = verify_orthonormal(basis)
     assert not ok
-    assert all(basis.factored)
+    assert all(factorize_all(basis))
 
 
 def test_d6_B1_rejects_non_unitary_params():

@@ -39,18 +39,12 @@ class BasisFileError(Exception):
     """Raised when a basis file cannot be parsed or violates the schema."""
 
 
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def save_basis_file(path, basis: ProductBasis) -> None:
     """Write a basis as deterministic JSON (17 significant digits per number)."""
     lines = ["{", f'  "dims": [2, {basis.n}],', '  "vectors": [']
-    rows = []
-    for v in basis.vectors:
-        entries = ", ".join(f"[{_fmt17(z.real)}, {_fmt17(z.imag)}]" for z in v)
-        rows.append(f"    [{entries}]")
-    lines.append(",\n".join(rows))
+    row_fmt = "    [" + ", ".join(["[%.17g, %.17g]"] * (2 * basis.n)) + "]"
+    rows = basis.vectors.view(np.float64).tolist()
+    lines.append(",\n".join(row_fmt % tuple(row) for row in rows))
     lines.append("  ],")
     lines.append(f'  "meta": {json.dumps(basis.meta, sort_keys=True)}')
     lines.append("}")
@@ -87,7 +81,7 @@ def load_basis_file(path, tol: Tolerances = DEFAULT_TOL) -> ProductBasis:
             raise BasisFileError(f"{path}: vector {k} must have {2 * n} entries")
         try:
             vec = np.array([complex(re, im) for re, im in row], dtype=np.complex128)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise BasisFileError(f"{path}: vector {k} has a malformed entry: {exc}") from exc
         if not np.all(np.isfinite(vec)):
             raise BasisFileError(f"{path}: vector {k} has non-finite entries")
@@ -228,12 +222,16 @@ def cmd_family(args) -> int:
     if args.g_file is not None:
         try:
             raw = json.loads(Path(args.g_file).read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"error: cannot read g-bases file: {exc}", file=sys.stderr)
+            return 2
+        try:
             params_kwargs["g_bases"] = {
                 key: [np.array([complex(re, im) for re, im in vec]) for vec in fam]
                 for key, fam in raw.items()
             }
-        except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
-            print(f"error: cannot read g-bases file: {exc}", file=sys.stderr)
+        except (TypeError, ValueError, OverflowError) as exc:
+            print(f"error: g-bases file has a malformed entry: {exc}", file=sys.stderr)
             return 2
     try:
         result = named_family(FamilyParams(family=args.tag, **params_kwargs))

@@ -1,8 +1,11 @@
 """Constructors for product bases of C^2 (x) C^n.
 
-`generate_from_type` realizes an arbitrary partition of n as a product basis
-by splitting C^n into orthogonal subspaces of the prescribed dimensions and
-attaching a skew qubit pair to each.  `named_family` builds the small catalog
+`generate_from_type` realizes every partition of n <= MAX_N as a product
+basis in closed form: C^n is split into orthogonal subspaces of the
+prescribed dimensions (coordinate blocks, or column blocks of a Haar unitary
+drawn by QR), and each subspace gets a qubit ray pair from one great circle
+on which all rays and their partners sit pi/(2r) apart.  Nothing searches or
+retries.  `named_family` builds the small catalog
 of fixed bases in d = 4 and d = 6 (including the mutually unbiased triples)
 plus the four-vector set that groups cleanly without being a basis.
 
@@ -26,7 +29,6 @@ from .numerics import (
     as_vector,
     canonical_phase,
     gram_residual,
-    orthonormalize,
 )
 from .partitions import MAX_N, Partition
 from .product_space import kron, qubit_orthogonal
@@ -44,8 +46,8 @@ __all__ = [
     "named_family",
 ]
 
-# Rays of distinct blocks must keep their overlap modulus inside
-# [SKEW_MARGIN, 1 - SKEW_MARGIN]: never orthogonal, never parallel.
+# The overlap moduli of FIXED_QUBIT_STATES lie inside [SKEW_MARGIN,
+# 1 - SKEW_MARGIN]: never orthogonal, never parallel.
 SKEW_MARGIN = 0.1
 
 _SUBSPACE_MODES = ("identity-blocks", "haar-random")
@@ -62,10 +64,8 @@ def _bloch_state(theta_deg: float, phi_deg: float) -> np.ndarray:
     )
 
 
-# Deterministic pairwise-skew qubit states (overlaps all inside
-# [0.216, 0.820]); enough for seven blocks, which covers every partition this
-# library's tests exercise.  Geometric spreading cannot go much further: the
-# skew window caps how many rays fit on the Bloch sphere at once.
+# Deterministic pairwise-skew qubit states for the fixed-list mode (overlaps
+# all inside [0.216, 0.820]); enough for seven blocks.
 FIXED_QUBIT_STATES = tuple(
     _bloch_state(theta, phi)
     for theta, phi in ((0, 0), (70, 0), (70, 120), (70, 240), (135, 60), (135, 180), (135, 300))
@@ -146,12 +146,12 @@ class FamilyParams:
 
 
 def _haar_from_rng(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Orthonormalized matrix of iid standard complex Gaussians."""
-    while True:
-        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        sub = orthonormalize([z[:, k] for k in range(d)])
-        if sub.dim == d:
-            return sub.basis
+    """Haar unitary: QR of iid standard complex Gaussians, with each column's
+    phase fixed by the diagonal of R (Mezzadri, Notices AMS 54, 2007)."""
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
 
 
 def random_unitary(d: int, seed: int) -> np.ndarray:
@@ -162,42 +162,29 @@ def random_unitary(d: int, seed: int) -> np.ndarray:
     return _haar_from_rng(d, rng)
 
 
-def _random_qubit(rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return canonical_phase(z / np.linalg.norm(z))
+def _skew_qubits(r: int, mode: str, rng: np.random.Generator) -> np.ndarray:
+    """r qubit rays (rows of an r x 2 array), no two parallel or orthogonal.
 
-
-def _skew_qubits(r: int, mode: str, rng: np.random.Generator) -> list[np.ndarray]:
-    """r qubit states with pairwise overlap modulus inside the skew window.
-
-    The window caps r geometrically (roughly a dozen rays fit on the Bloch
-    sphere at margin 0.1); sampling restarts from scratch when a greedy
-    placement dead-ends, and raises once the configuration looks infeasible.
+    random-skew places them on one great circle at theta_k = k*pi/(2r), turned
+    together by a seeded 2 x 2 Haar unitary.  With their orthogonal partners
+    the rays then sit pi/(2r) apart, so distinct rays have 1 - |<a|b>| >=
+    1 - cos(pi/(2r)) and a ray meets every non-partner with |overlap| >=
+    sin(pi/(2r)): about 3e-4 and 0.025 at r = 64, far from the tolerances.
     """
     if mode == "fixed-list":
         if r > len(FIXED_QUBIT_STATES):
             raise ValueError(
                 f"fixed-list supports at most {len(FIXED_QUBIT_STATES)} blocks, need {r}"
             )
-        return [s.copy() for s in FIXED_QUBIT_STATES[:r]]
-    for _restart in range(100):
-        states: list[np.ndarray] = []
-        for _ in range(r):
-            for _attempt in range(500):
-                cand = _random_qubit(rng)
-                if all(
-                    SKEW_MARGIN <= abs(np.vdot(cand, prev)) <= 1.0 - SKEW_MARGIN
-                    for prev in states
-                ):
-                    states.append(cand)
-                    break
-            else:
-                break
-        if len(states) == r:
-            return states
-    raise ValueError(
-        f"could not place {r} pairwise-skew qubit rays with margin {SKEW_MARGIN}"
-    )
+        return np.array(FIXED_QUBIT_STATES[:r])
+    theta = np.arange(r) * (math.pi / (2 * r))
+    rays = np.stack([np.cos(theta), np.sin(theta)], axis=1) @ _haar_from_rng(2, rng).T
+    return canonical_phase(rays)
+
+
+def _block_rows(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Rows kron(a, c) for every column c of `cols`."""
+    return np.einsum("i,kj->jik", a, cols).reshape(cols.shape[1], -1)
 
 
 def generate_from_type(spec: TypeSpec, tol: Tolerances = DEFAULT_TOL) -> ProductBasis:
@@ -206,8 +193,9 @@ def generate_from_type(spec: TypeSpec, tol: Tolerances = DEFAULT_TOL) -> Product
     C^n is split into orthogonal subspaces with the partition's dimensions
     (coordinate blocks, or column blocks of one Haar unitary).  Each subspace
     gets an orthonormal basis for the qubit-a side and either the same basis
-    or a Haar-rotated copy for the qubit-a-perp side; the qubit rays of
-    distinct blocks are kept mutually skew so no two blocks can merge.
+    or a Haar-rotated copy for the qubit-a-perp side.  The qubit rays of the
+    blocks are great-circle rays (see `_skew_qubits`), so no two blocks can
+    merge; every step is closed-form.
     """
     n, parts = spec.n, tuple(spec.partition)
     rng = np.random.Generator(np.random.Philox(spec.seed))
@@ -216,29 +204,17 @@ def generate_from_type(spec: TypeSpec, tol: Tolerances = DEFAULT_TOL) -> Product
         frame = np.eye(n, dtype=np.complex128)
     else:
         frame = _haar_from_rng(n, rng)
-    offsets = [sum(parts[:i]) for i in range(len(parts))]
-    block_bases = [frame[:, off : off + m] for off, m in zip(offsets, parts)]
-
-    groups_a: list[list[np.ndarray]] = []
-    groups_p: list[list[np.ndarray]] = []
-    for base in block_bases:
-        m = base.shape[1]
-        cols_a = [base[:, k] for k in range(m)]
-        if spec.pair_mode == "equal-groups":
-            cols_p = cols_a
-        else:
-            rotated = base @ _haar_from_rng(m, rng)
-            cols_p = [rotated[:, k] for k in range(m)]
-        groups_a.append(cols_a)
-        groups_p.append(cols_p)
-
     qubit_a = _skew_qubits(len(parts), spec.qubit_mode, rng)
-    qubit_p = [qubit_orthogonal(a) for a in qubit_a]
+    qubit_p = canonical_phase(np.stack([-qubit_a[:, 1].conj(), qubit_a[:, 0].conj()], axis=1))
 
-    vectors: list[np.ndarray] = []
-    for a, ap, cols_a, cols_p in zip(qubit_a, qubit_p, groups_a, groups_p):
-        vectors.extend(kron(a, b) for b in cols_a)
-        vectors.extend(kron(ap, b) for b in cols_p)
+    rows = []
+    offsets = np.cumsum((0,) + parts)
+    for a, ap, off, m in zip(qubit_a, qubit_p, offsets, parts):
+        base = frame[:, off : off + m]
+        rows.append(_block_rows(a, base))
+        if spec.pair_mode == "independent-groups":
+            base = base @ _haar_from_rng(m, rng)
+        rows.append(_block_rows(ap, base))
 
     meta = {
         "partition": str(spec.partition),
@@ -247,7 +223,7 @@ def generate_from_type(spec: TypeSpec, tol: Tolerances = DEFAULT_TOL) -> Product
         "pair_mode": spec.pair_mode,
         "qubit_mode": spec.qubit_mode,
     }
-    return ProductBasis(n, vectors, tol=tol, meta=meta)
+    return ProductBasis(n, np.concatenate(rows), tol=tol, meta=meta)
 
 
 def _basis_from_factors(n: int, pairs, meta=None, tol: Tolerances = DEFAULT_TOL) -> ProductBasis:

@@ -271,3 +271,37 @@ def test_bad_tolerance_env_is_usage_error(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setenv("PRODBASE_TOL_ORTH", value)
     assert main(["verify", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: PRODBASE_TOL_ORTH")
+
+
+def _write_overflowing_basis(path):
+    # a 400-digit integer is valid JSON but too large for a float
+    path.write_text(
+        '{"dims": [2, 1], "vectors": [[[1' + "0" * 400 + ', 0], [0, 0]], [[0, 0], [1, 0]]]}'
+    )
+
+
+@pytest.mark.parametrize("command", ["verify", "classify", "mub-check"])
+def test_overflowing_entry_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "huge.json"
+    _write_overflowing_basis(path)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "malformed entry" in err
+
+
+def test_family_g_file_overflowing_entry_is_a_parse_error(tmp_path, capsys):
+    g_file = tmp_path / "g.json"
+    g_file.write_text('{"z0": [[[1' + "0" * 400 + ", 0]]]}")
+    out = tmp_path / "t.json"
+    assert main(["family", "general_mupb_triple", "--g-file", str(g_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "malformed entry" in err
+
+
+def test_generate_twenty_blocks(tmp_path, capsys):
+    path = tmp_path / "ones.json"
+    ones = "+".join(["1"] * 20)
+    assert main(["generate", "20", ones, "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["classify", str(path)]) == 0
+    assert f"right type: {ones}\n" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -220,6 +221,43 @@ def test_every_small_partition_is_realized():
             report = classify(generate_from_type(TypeSpec(n=n, partition=part, seed=17)))
             assert report.valid
             assert report.right_type == part
+
+
+def test_every_partition_up_to_12_and_n64_extremes_round_trip():
+    # closed-form generation: a sampler or retry loop would blow the time bound
+    cases = [
+        (part, subspace_mode, pair_mode)
+        for n in range(1, 13)
+        for part in partitions_of(n)
+        for subspace_mode in ("identity-blocks", "haar-random")
+        for pair_mode in ("equal-groups", "independent-groups")
+    ]
+    for parts in ((1,) * 64, (64,), (32, 32)):
+        for pair_mode in ("equal-groups", "independent-groups"):
+            cases.append((Partition(parts), "haar-random", pair_mode))
+    assert len(cases) == 1090
+    start = time.perf_counter()
+    for seed, (part, subspace_mode, pair_mode) in enumerate(cases):
+        spec = TypeSpec(
+            n=part.n, partition=part, seed=seed, subspace_mode=subspace_mode, pair_mode=pair_mode
+        )
+        report = classify(generate_from_type(spec))
+        assert report.valid, (str(part), subspace_mode, pair_mode)
+        assert report.right_type == part, (str(part), subspace_mode, pair_mode)
+    assert time.perf_counter() - start < 30.0
+
+
+def test_random_skew_ray_margins():
+    # distinct blocks' rays stay far from parallel, and every ray stays far
+    # from orthogonal to each other block's partner ray, for every r <= 64
+    for r in range(1, 65):
+        report = classify(generate_from_type(TypeSpec(n=r, partition=Partition((1,) * r), seed=r)))
+        assert report.valid and report.r == r
+        rays = np.array([blk.a for blk in report.blocks])
+        perps = np.array([blk.a_perp for blk in report.blocks])
+        off = ~np.eye(r, dtype=bool)
+        assert np.all(1.0 - np.abs(rays.conj() @ rays.T)[off] >= 1e-4), r
+        assert np.all(np.abs(rays.conj() @ perps.T)[off] >= 1e-2), r
 
 
 def test_general_mupb_triple_from_catalog_factors():

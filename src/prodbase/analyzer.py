@@ -20,10 +20,9 @@ from .numerics import (
     DEFAULT_TOL,
     Subspace,
     Tolerances,
-    as_vector,
+    canonical_phase,
     gram_residual,
     inner,  # noqa: F401  unused; perfbench's tracer self-test patches it here
-    orthonormalize,
     subspace_equal,
 )
 from .partitions import Partition
@@ -48,20 +47,18 @@ __all__ = [
 class ProductBasis:
     """An ordered set of 2n unit vectors in C^(2n) claimed to form a product basis.
 
-    `vectors` is one read-only (2n, 2n) complex128 array with a row per
-    vector; nothing is cached, so an instance can be shared freely.
+    `vectors` is a read-only (2n, 2n) complex128 copy of the rows given, one
+    row per vector; nothing is cached, so an instance can be shared freely.
     """
 
     def __init__(self, n: int, vectors, tol: Tolerances = DEFAULT_TOL, meta=None):
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
-        vecs = [as_vector(v) for v in vectors]
-        if len(vecs) != 2 * n:
-            raise ValueError(f"expected {2 * n} vectors, got {len(vecs)}")
-        for k, v in enumerate(vecs):
-            if v.size != 2 * n:
-                raise ValueError(f"vector {k} has dim {v.size}, expected {2 * n}")
-        rows = np.array(vecs)
+        rows = np.array(vectors, dtype=np.complex128, order="C")  # saved as a float64 view
+        if rows.shape != (2 * n, 2 * n):
+            raise ValueError(f"expected {2 * n} vectors of dim {2 * n}, got shape {rows.shape}")
+        if not np.isfinite(rows).all():
+            raise ValueError("vector has non-finite entries")
         nrm2 = np.sum(np.abs(rows) ** 2, axis=1)
         off = np.flatnonzero(np.abs(nrm2 - 1.0) > tol.eps_unit)
         if off.size:
@@ -308,9 +305,11 @@ def classify(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> StructureRep
                 return failed(
                     f"qudit group {name} of block {idx_a} is not orthonormal (residual {res:.6e})"
                 )
-        span_a = orthonormalize(group_a, tol)
-        span_p = orthonormalize(group_p, tol)
-        if span_a.dim != len(idx_a) or not subspace_equal(span_a, span_p, tol):
+        # both groups passed their Gram check: QR's Q spans each with full rank
+        span_a, span_p = (
+            Subspace(basis.n, canonical_phase(np.linalg.qr(g.T)[0].T).T) for g in (group_a, group_p)
+        )
+        if not subspace_equal(span_a, span_p, tol):
             return failed(
                 f"qudit groups of block {idx_a} do not span one "
                 f"common subspace of dimension {len(idx_a)}"
@@ -376,19 +375,16 @@ def mu_check(basis1, basis2, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float
     Returns (ok, dev) with dev the max over all pairs of
     | |<a_i|b_j>|^2 - 1/d |; ok when dev <= 10 * eps_orth.
     """
-    va = [as_vector(v) for v in basis1]
-    vb = [as_vector(v) for v in basis2]
-    d = len(va)
-    if d == 0 or len(vb) != d:
+    A, B = (np.asarray(family, dtype=np.complex128) for family in (basis1, basis2))
+    d = len(A)
+    if d == 0 or len(B) != d:
         raise ValueError("not-a-basis: the two families have different sizes")
-    if any(v.size != d for v in va) or any(v.size != d for v in vb):
+    if A.shape != (d, d) or B.shape != (d, d):
         raise ValueError("not-a-basis: vector count must equal the dimension")
-    for name, fam in (("first", va), ("second", vb)):
+    for name, fam in (("first", A), ("second", B)):
         res = gram_residual(fam)
         if res > tol.eps_orth:
             raise ValueError(f"not-a-basis: {name} family has Gram residual {res:.6e}")
-    A = np.column_stack(va)
-    B = np.column_stack(vb)
-    overlaps = np.abs(A.conj().T @ B) ** 2
+    overlaps = np.abs(A.conj() @ B.T) ** 2
     dev = float(np.max(np.abs(overlaps - 1.0 / d)))
     return (dev <= 10.0 * tol.eps_orth, dev)

@@ -4,11 +4,16 @@ Bases travel as JSON files: ``{"dims": [2, n], "vectors": [[[re, im], ...],
 ...], "meta": {...}}`` with every number printed to 17 significant digits so
 doubles survive a save/load round trip.  Exit codes are stable: 0 success or
 valid, 1 structurally invalid input basis, 2 usage or parse error.
+
+`main(argv)` may be called repeatedly in one process: the argument parser is
+built once, and every call parses its own argv and reads the environment anew.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import json
 import os
 import sys
@@ -80,12 +85,11 @@ def load_basis_file(path, tol: Tolerances = DEFAULT_TOL) -> ProductBasis:
         if not isinstance(row, list) or len(row) != 2 * n:
             raise BasisFileError(f"{path}: vector {k} must have {2 * n} entries")
         try:
-            vec = np.array([complex(re, im) for re, im in row], dtype=np.complex128)
+            vectors.append([complex(re, im) for re, im in row])
         except (TypeError, ValueError, OverflowError) as exc:
             raise BasisFileError(f"{path}: vector {k} has a malformed entry: {exc}") from exc
-        if not np.all(np.isfinite(vec)):
+        if not all(map(cmath.isfinite, vectors[-1])):
             raise BasisFileError(f"{path}: vector {k} has non-finite entries")
-        vectors.append(vec)
     meta = data.get("meta") or {}
     if not isinstance(meta, dict):
         raise BasisFileError(f"{path}: meta must be an object")
@@ -95,7 +99,8 @@ def load_basis_file(path, tol: Tolerances = DEFAULT_TOL) -> ProductBasis:
 
 
 def _fmt_vec(v) -> str:
-    return "(" + ", ".join(f"{z.real:.6g}{z.imag:+.6g}j" for z in as_vector(v)) + ")"
+    v = np.ascontiguousarray(as_vector(v))
+    return ("(" + ", ".join(["%.6g%+.6gj"] * v.size) + ")") % tuple(v.view(np.float64).tolist())
 
 
 def _tolerance(text: str) -> float:
@@ -225,6 +230,9 @@ def cmd_family(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read g-bases file: {exc}", file=sys.stderr)
             return 2
+        if not isinstance(raw, dict):
+            print("error: g-bases file must hold a JSON object", file=sys.stderr)
+            return 2
         try:
             params_kwargs["g_bases"] = {
                 key: [np.array([complex(re, im) for re, im in vec]) for vec in fam]
@@ -254,7 +262,7 @@ def cmd_mub_check(args) -> int:
     print("pairwise max | |<a|b>|^2 - 1/d |:")
     for i in range(len(bases)):
         for j in range(i + 1, len(bases)):
-            ok, dev = mu_check(list(bases[i].vectors), list(bases[j].vectors), tol)
+            ok, dev = mu_check(bases[i].vectors, bases[j].vectors, tol)
             all_ok = all_ok and ok
             verdict = "unbiased" if ok else "NOT unbiased"
             print(f"  {names[i]} vs {names[j]}: {dev:.6e} ({verdict})")
@@ -277,6 +285,7 @@ def cmd_partitions(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prodbase",
@@ -330,8 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (BasisFileError, argparse.ArgumentTypeError) as exc:

@@ -362,13 +362,12 @@ def _family_general_mupb_triple(params: FamilyParams, tol: Tolerances):
     keys = ("z0", "z1", "x0", "x1", "y0", "y1")
     if set(params.g_bases) != set(keys):
         raise ValueError(f"g_bases must have exactly the keys {keys}")
-    g = {key: [as_vector(v) for v in params.g_bases[key]] for key in keys}
+    g = {key: np.asarray(params.g_bases[key], dtype=np.complex128) for key in keys}
     n = len(g["z0"])
     for key in keys:
-        fam = g[key]
-        if len(fam) != n or any(v.size != n for v in fam):
+        if g[key].shape != (n, n):
             raise ValueError(f"g_bases[{key!r}] must be n vectors of dim n")
-        res = gram_residual(fam)
+        res = gram_residual(g[key])
         if res > tol.eps_orth:
             raise ValueError(f"g_bases[{key!r}] is not orthonormal (residual {res:.6e})")
     bases = []
@@ -382,7 +381,7 @@ def _family_general_mupb_triple(params: FamilyParams, tol: Tolerances):
         )
     for i in range(3):
         for j in range(i + 1, 3):
-            ok, dev = mu_check(list(bases[i].vectors), list(bases[j].vectors), tol)
+            ok, dev = mu_check(bases[i].vectors, bases[j].vectors, tol)
             if not ok:
                 raise ValueError(
                     f"supplied g_bases do not give unbiased product bases: "

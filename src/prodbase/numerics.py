@@ -71,7 +71,7 @@ def as_vector(v) -> np.ndarray:
         raise ValueError(f"expected a 1-d vector, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError("empty vector")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("vector has non-finite entries")
     return arr
 
@@ -92,29 +92,28 @@ def inner(x, y) -> complex:
 def canonical_phase(v) -> np.ndarray:
     """Multiply by the unit scalar making the largest-modulus entry real positive.
 
-    Ties are broken by lowest index, so equivalent rays map to one
-    deterministic representative.  A 2-d array is canonicalized row by row; a
-    single vector keeps scalar arithmetic so generated bases reproduce bit for bit.
+    Ties go to the lowest index, moduli within a relative 1e-12 of the largest
+    counting as tied, so equivalent rays map to one deterministic
+    representative whatever the roundoff.  A 2-d array is done row by row.
     """
-    if np.ndim(v) == 2:
-        rows = np.asarray(v, dtype=np.complex128)
-        pivot = rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)]
-        if np.any(pivot == 0):
-            raise ValueError("cannot phase-canonicalize the zero vector")
-        return rows * (np.abs(pivot) / pivot)[:, None]
-    v = as_vector(v)
-    k = int(np.argmax(np.abs(v)))
-    pivot = v[k]
-    if pivot == 0:
+    if np.ndim(v) != 2:
+        return canonical_phase(as_vector(v)[None])[0]
+    rows = np.asarray(v, dtype=np.complex128)
+    mod = np.abs(rows)
+    first = np.argmax(mod >= (1.0 - 1e-12) * mod.max(axis=1, keepdims=True), axis=1)
+    pivot = rows[np.arange(len(rows)), first]
+    if not pivot.all():
         raise ValueError("cannot phase-canonicalize the zero vector")
-    return v * (abs(pivot) / pivot)
+    return rows * (np.abs(pivot) / pivot)[:, None]
 
 
 def gram_residual(vectors) -> float:
-    """Max absolute deviation of the Gram matrix of `vectors` from the identity."""
-    cols = np.column_stack([as_vector(v) for v in vectors])
-    g = cols.conj().T @ cols
-    return float(np.max(np.abs(g - np.eye(g.shape[0]))))
+    """Max absolute deviation from the identity of the Gram matrix of `vectors`,
+    a (k, d) array or a sequence of k vectors, validated in one pass."""
+    rows = np.asarray(vectors, dtype=np.complex128)
+    if rows.ndim != 2 or rows.size == 0 or not np.isfinite(rows).all():
+        raise ValueError(f"expected a (k, d) array of finite vectors, got shape {rows.shape}")
+    return float(np.max(np.abs(rows.conj() @ rows.T - np.eye(len(rows)))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,33 +145,20 @@ class Subspace:
 
 
 def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis of span(vectors) via modified Gram-Schmidt.
-
-    One re-orthogonalization pass is applied to every vector, which keeps the
-    output Gram residual near machine precision at these sizes.  Vectors whose
-    residual after projection falls below eps_rank (relative to their original
-    norm) are treated as dependent and dropped, so the result dimension is the
-    numeric rank of the input.
-    """
-    vs = [as_vector(v) for v in vectors]
-    if not vs:
+    """Orthonormal basis of span(vectors): the phase-canonical left singular
+    vectors whose singular values exceed eps_rank * max(1, largest input norm),
+    so the result dimension is the numeric rank of the input."""
+    cols = np.asarray(vectors, dtype=np.complex128).T
+    if cols.ndim != 2 or cols.size == 0:
         raise ValueError("zero-span: no input vectors")
-    ambient = vs[0].size
-    if any(v.size != ambient for v in vs):
-        raise ValueError("dim-mismatch: input vectors have differing dimensions")
-    cols: list[np.ndarray] = []
-    for v in vs:
-        scale = max(float(np.linalg.norm(v)), 1.0)
-        w = v.astype(np.complex128, copy=True)
-        for _ in range(2):
-            for q in cols:
-                w = w - q * np.vdot(q, w)
-        r = float(np.linalg.norm(w))
-        if r > tol.eps_rank * scale:
-            cols.append(w / r)
-    if not cols:
+    if not np.isfinite(cols).all():
+        raise ValueError("vector has non-finite entries")
+    u, sv, _ = np.linalg.svd(cols, full_matrices=False)
+    scale = max(1.0, float(np.linalg.norm(cols, axis=0).max()))
+    rank = int(np.count_nonzero(sv > tol.eps_rank * scale))
+    if rank == 0:
         raise ValueError("zero-span: input spans no direction")
-    return Subspace(ambient, np.column_stack([canonical_phase(q) for q in cols]))
+    return Subspace(len(cols), canonical_phase(u[:, :rank].T).T)
 
 
 def singular_values_2xn(m) -> tuple[float, float]:
@@ -197,19 +183,19 @@ def singular_values_2xn_stack(ms) -> tuple[np.ndarray, np.ndarray]:
     norms = np.linalg.norm(M, axis=2)
     # the longer row goes first, so the cross term is taken against it
     M = np.where((norms[:, 1] > norms[:, 0])[:, None, None], M[:, ::-1], M)
-    n0 = np.max(norms, axis=1)
+    n0 = norms.max(axis=1)
     r0, r1 = M[:, 0], M[:, 1]
     u = r0 / np.where(n0 > 0.0, n0, 1.0)[:, None]
-    c1 = np.sum(u.conj() * r1, axis=1)
+    c1 = (u.conj() * r1).sum(axis=1)
     w = r1 - c1[:, None] * u
-    c2 = np.sum(u.conj() * w, axis=1)
+    c2 = (u.conj() * w).sum(axis=1)
     w = w - c2[:, None] * u
     beta = np.abs(c1 + c2)
     gamma = np.linalg.norm(w, axis=1)
     t = n0 * n0 + beta * beta + gamma * gamma
     d = (n0 * gamma) ** 2
     lam1 = 0.5 * (t + np.sqrt(np.maximum(t * t - 4.0 * d, 0.0)))
-    lam2 = np.divide(d, lam1, out=np.zeros_like(d), where=lam1 > 0.0)
+    lam2 = np.divide(d, lam1, out=np.zeros(d.shape), where=lam1 > 0.0)
     return (np.sqrt(lam1), np.sqrt(lam2))
 
 

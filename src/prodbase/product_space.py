@@ -57,11 +57,21 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def _dominant_factors(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _dominant_factors(M: np.ndarray, sigma1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Phase-canonicalized unit factors of the dominant singular pair of each
-    matrix in a (k, 2, n) stack: qubit factors (k x 2), qudit factors (k x n)."""
-    _, eigvecs = np.linalg.eigh(M @ M.conj().transpose(0, 2, 1))
-    a = canonical_phase(eigvecs[:, :, 1])  # eigenvalues ascend: the last one is dominant
+    matrix in a (k, 2, n) stack with largest singular values `sigma1`:
+    qubit factors (k x 2), qudit factors (k x n).
+
+    For the Gram [[p, q], [q*, s]] and lam = sigma1**2, the qubit factor is the
+    longer of (q, lam - p) and (lam - s, q*), so no difference of nearly equal
+    numbers decides it; (1, 0) when both vanish (sigma1 = sigma2).
+    """
+    G = M @ M.conj().transpose(0, 2, 1)
+    p, s = G[:, 0, 0].real.copy(), G[:, 1, 1].real.copy()
+    G[:, 0, 0], G[:, 1, 1] = sigma1**2 - s, sigma1**2 - p  # columns (lam - s, q*), (q, lam - p)
+    a = np.where((p < s)[:, None], G[:, :, 1], G[:, :, 0])
+    a[~a.any(axis=1), 0] = 1.0
+    a = canonical_phase(a) / np.linalg.norm(a, axis=1, keepdims=True)
     b = np.einsum("ki,kij->kj", a.conj(), M)
     return a, canonical_phase(b / np.linalg.norm(b, axis=1, keepdims=True))
 
@@ -75,10 +85,9 @@ def factor_arrays(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     negligible; for an entangled row A and B hold only its dominant pair.
     """
     rows = np.asarray(rows, dtype=np.complex128)
-    k, dim = rows.shape
-    M = rows.reshape(k, 2, dim // 2)
-    _, sigma2 = singular_values_2xn_stack(M)
-    a, b = _dominant_factors(M)
+    M = rows.reshape(len(rows), 2, -1)
+    sigma1, sigma2 = singular_values_2xn_stack(M)
+    a, b = _dominant_factors(M, sigma1)
     return a, b, sigma2
 
 
@@ -101,10 +110,10 @@ def factorize(v, tol: Tolerances = DEFAULT_TOL):
     if abs(nrm2 - 1.0) > tol.eps_unit:
         raise ValueError(f"not-normalized: <v|v> = {nrm2!r}")
     M = v.reshape(2, n)
-    _, sigma2 = singular_values_2xn(M)
+    sigma1, sigma2 = singular_values_2xn(M)
     if sigma2 > tol.eps_rank:
         return NotAProduct(sigma2=sigma2)
-    (a,), (b,) = _dominant_factors(M[None])
+    (a,), (b,) = _dominant_factors(M[None], np.array([sigma1]))
     full = np.outer(a, b).ravel()
     ph = inner(full, v)
     return ProductVector(a=a, b=b, full=full, phase=ph / abs(ph))

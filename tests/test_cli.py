@@ -1,11 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from prodbase.analyzer import ProductBasis
-from prodbase.cli import BasisFileError, load_basis_file, main, save_basis_file
+from prodbase.cli import BasisFileError, _build_parser, load_basis_file, main, save_basis_file
 from prodbase.generator import FamilyParams, TypeSpec, generate_from_type, named_family
 from prodbase.partitions import Partition
 
@@ -305,3 +306,66 @@ def test_generate_twenty_blocks(tmp_path, capsys):
     capsys.readouterr()
     assert main(["classify", str(path)]) == 0
     assert f"right type: {ones}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '"z0"', "3", "null"])
+def test_family_g_file_must_hold_an_object(tmp_path, capsys, content):
+    g_file = tmp_path / "g.json"
+    g_file.write_text(content)
+    out = tmp_path / "t.json"
+    assert main(["family", "general_mupb_triple", "--g-file", str(g_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: g-bases file")
+    assert not out.exists()
+
+
+def test_repeated_main_calls_are_independent(tmp_path, capsys, monkeypatch):
+    # vector 1 leans 1e-7 toward vector 0: still product vectors, Gram residual ~1e-7
+    vecs = list(computational_basis(2).vectors)
+    vecs[1] = (vecs[1] + 1e-7 * vecs[0]) / math.hypot(1.0, 1e-7)
+    path = str(tmp_path / "lean.json")
+    save_basis_file(path, ProductBasis(2, vecs))
+    monkeypatch.delenv("PRODBASE_TOL_ORTH", raising=False)
+    assert _build_parser() is _build_parser()
+    assert main(["verify", path, "--tol-orth", "1e-6"]) == 0
+    assert main(["verify", path]) == 1  # the flag of the previous call does not carry over
+    monkeypatch.setenv("PRODBASE_TOL_ORTH", "1e-6")
+    assert main(["classify", path]) == 0  # the environment is read on every call
+    monkeypatch.setenv("PRODBASE_TOL_ORTH", "1e-8")
+    assert main(["classify", path]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", path, "--tol-orth"])
+    assert exc.value.code == 2
+    assert main(["verify", path, "--tol-orth", "1e-6"]) == 0  # a usage error leaves no state behind
+    capsys.readouterr()
+    monkeypatch.delenv("PRODBASE_TOL_ORTH")
+    assert main(["verify", path]) == 1
+    assert "orthonormal: no" in capsys.readouterr().out
+
+
+# classify's text for `family d6_B2`, captured before vector formatting moved to
+# one %-operation per vector; the Gram residual is roundoff and is matched by form
+D6_B2_CLASSIFY = """\
+right type: 3
+left type: undefined
+blocks: r = 1
+  #1 multiplicity 3, qubit pair (1+0j, 0+0j) / (0+0j, 1+0j), subspace dim 3
+B1(n):
+  (1+0j, 0+0j, 0+0j)
+  (0+0j, 1+0j, 0+0j)
+  (0+0j, 0+0j, 1+0j)
+B2(n):
+  (0.57735+0j, 0.57735+0j, 0.57735+0j)
+  (0.57735+0j, -0.288675+0.5j, -0.288675-0.5j)
+  (0.57735+0j, -0.288675-0.5j, -0.288675+0.5j)
+"""
+
+
+def test_classify_text_is_pinned(tmp_path, capsys):
+    path = tmp_path / "d6_B2.json"
+    assert main(["family", "d6_B2", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["classify", str(path)]) == 0
+    head, valid, rest = capsys.readouterr().out.split("\n", 2)
+    assert head == f"file: {path}"
+    assert re.fullmatch(r"valid: yes \(Gram residual \d\.\d{6}e-1[5-7]\)", valid)
+    assert rest == D6_B2_CLASSIFY

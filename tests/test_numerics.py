@@ -214,3 +214,25 @@ def test_tolerances_validated():
     assert DEFAULT_TOL.eps_unit == 1e-9
     assert DEFAULT_TOL.eps_rank == 1e-8
     assert DEFAULT_TOL.eps_ray == 1e-8
+
+
+def test_gram_residual_takes_an_array_or_its_rows():
+    rng = _rng(7)
+    rows = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
+    assert gram_residual(rows) == gram_residual(list(rows))
+    for value in (np.nan, np.inf):
+        bad = rows.copy()
+        bad[2, 3] = value
+        for arg in (bad, list(bad)):
+            with pytest.raises(ValueError):
+                gram_residual(arg)
+
+
+def test_canonical_phase_ties_within_roundoff_go_to_the_first_entry():
+    # cos(pi/4) exceeds sin(pi/4) by one ulp: the ray is still (1, e^{i phi}) / sqrt(2)
+    c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+    assert c != s
+    phase = complex(math.cos(2.0), math.sin(2.0))
+    for v in (np.array([c, phase * s]), np.array([phase * s, c])):
+        for out in (canonical_phase(v), canonical_phase(v[None])[0]):
+            assert abs(out[0].imag) < 1e-15 and out[0].real > 0.7

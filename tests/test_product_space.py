@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodbase.numerics import Tolerances, canonical_phase, inner, singular_values_2xn
-from prodbase.product_space import NotAProduct, factorize, kron, qubit_orthogonal
+from prodbase.product_space import NotAProduct, factor_arrays, factorize, kron, qubit_orthogonal
 
 RT2 = math.sqrt(2.0)
 
@@ -171,3 +173,51 @@ def test_qubit_orthogonal_involution_up_to_phase():
 def test_qubit_orthogonal_zero_vector():
     with pytest.raises(ValueError):
         qubit_orthogonal(np.zeros(2))
+
+
+@st.composite
+def products_and_near_products(draw):
+    """A unit row of C^2 (x) C^n: a product, possibly kicked off the product set.
+
+    The qubit factor is generic, has a component down to 1e-12, or has a
+    zero half; the kick is small enough that the row still factorizes."""
+    n = draw(st.integers(1, 64))
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("generic", "small", "zero-half")))
+    if kind == "zero-half":
+        a = np.eye(2, dtype=complex)[draw(st.integers(0, 1))]
+    else:
+        small = 10.0 ** draw(st.floats(-12.0, -1.0)) if kind == "small" else rng.uniform(0.0, 1.0)
+        a = np.array([math.sqrt(1.0 - small**2), small]) * np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
+        if draw(st.booleans()):
+            a = a[::-1]
+    v = kron(a, _random_unit(rng, n))
+    kick = draw(st.sampled_from((0.0, 1e-14, 1e-12, 1e-10)))
+    if kick:
+        v = v + kick * _random_unit(rng, 2 * n)
+        v /= np.linalg.norm(v)
+    return v, kick == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(products_and_near_products())
+def test_closed_form_factors_match_svd(case):
+    v, exact = case
+    n = v.size // 2
+    (a,), (b,), (sigma2,) = factor_arrays(v[None])
+    pv = factorize(v)
+    assert pv
+    assert np.max(np.abs(pv.a - a)) <= 1e-12 and np.max(np.abs(pv.b - b)) <= 1e-12
+    u, _, vh = np.linalg.svd(v.reshape(2, n))
+    assert np.max(np.abs(a - canonical_phase(u[:, 0]))) <= 1e-12
+    assert np.max(np.abs(b - canonical_phase(vh[0]))) <= 1e-12
+    if exact:
+        assert sigma2 <= 1e-15
+
+
+def test_factor_arrays_bell_row_is_finite():
+    bell = np.array([1, 0, 0, 1], dtype=complex) / RT2
+    A, B, sigma2 = factor_arrays(np.stack([bell, kron([1, 0], [0, 1])]))
+    assert np.all(np.isfinite(A)) and np.all(np.isfinite(B))
+    assert abs(sigma2[0] - 1.0 / RT2) < 1e-15 and sigma2[1] == 0.0
+    assert np.allclose(np.linalg.norm(A, axis=1), 1.0) and np.allclose(np.linalg.norm(B, axis=1), 1.0)

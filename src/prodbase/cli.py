@@ -257,6 +257,11 @@ def cmd_family(args) -> int:
 def cmd_mub_check(args) -> int:
     tol = _tolerances(args)
     bases = [load_basis_file(path, tol) for path in args.paths]
+    dims = sorted({2 * basis.n for basis in bases})
+    if len(dims) > 1:
+        got = " and ".join(f"d = {d}" for d in dims)
+        print(f"error: mub-check needs bases of one dimension, got {got}", file=sys.stderr)
+        return 2
     names = [Path(p).stem for p in args.paths]
     all_ok = True
     print("pairwise max | |<a|b>|^2 - 1/d |:")

@@ -97,7 +97,12 @@ def canonical_phase(v) -> np.ndarray:
     representative whatever the roundoff.  A 2-d array is done row by row.
     """
     if np.ndim(v) != 2:
-        return canonical_phase(as_vector(v)[None])[0]
+        v = as_vector(v)
+        mod = np.abs(v)
+        pivot = v[np.argmax(mod >= (1.0 - 1e-12) * mod.max())]
+        if not pivot:
+            raise ValueError("cannot phase-canonicalize the zero vector")
+        return v * (np.abs(pivot) / pivot)
     rows = np.asarray(v, dtype=np.complex128)
     mod = np.abs(rows)
     first = np.argmax(mod >= (1.0 - 1e-12) * mod.max(axis=1, keepdims=True), axis=1)
@@ -161,13 +166,30 @@ def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     return Subspace(len(cols), canonical_phase(u[:, :rank].T).T)
 
 
+def _gram_eigenvalue(n0, beta, gamma, sqrt):
+    """Larger Gram eigenvalue of the row-triangular form [[n0, 0], [beta, gamma]], on floats
+    or arrays; the discriminant is a sum of non-negative terms, so it never cancels."""
+    p, b, c = n0 * n0, beta * beta, gamma * gamma
+    return 0.5 * (p + b + c + sqrt((p - c) ** 2 + b * (b + 2.0 * (p + c))))
+
+
 def singular_values_2xn(m) -> tuple[float, float]:
-    """The two singular values (descending) of a matrix with 2 rows."""
+    """The two singular values (descending) of a matrix with 2 rows: the
+    parameterization of `singular_values_2xn_stack` on scalars, by `vdot`."""
     M = np.asarray(m, dtype=np.complex128)
     if M.ndim != 2 or M.shape[0] != 2:
         raise ValueError(f"expected a matrix with 2 rows, got shape {M.shape}")
-    s1, s2 = singular_values_2xn_stack(M[None])
-    return (float(s1[0]), float(s2[0]))
+    p, s = float(np.vdot(M[0], M[0]).real), float(np.vdot(M[1], M[1]).real)
+    r0, r1 = (M[1], M[0]) if s > p else (M[0], M[1])
+    n0 = math.sqrt(max(p, s))
+    u = r0 / (n0 or 1.0)
+    c1 = complex(np.vdot(u, r1))
+    w = r1 - c1 * u
+    c2 = complex(np.vdot(u, w))
+    w -= c2 * u
+    gamma = math.sqrt(float(np.vdot(w, w).real))
+    sigma1 = math.sqrt(_gram_eigenvalue(n0, abs(c1 + c2), gamma, math.sqrt))
+    return (sigma1, n0 * gamma / sigma1 if sigma1 > 0.0 else 0.0)
 
 
 def singular_values_2xn_stack(ms) -> tuple[np.ndarray, np.ndarray]:
@@ -192,11 +214,9 @@ def singular_values_2xn_stack(ms) -> tuple[np.ndarray, np.ndarray]:
     w = w - c2[:, None] * u
     beta = np.abs(c1 + c2)
     gamma = np.linalg.norm(w, axis=1)
-    t = n0 * n0 + beta * beta + gamma * gamma
-    d = (n0 * gamma) ** 2
-    lam1 = 0.5 * (t + np.sqrt(np.maximum(t * t - 4.0 * d, 0.0)))
-    lam2 = np.divide(d, lam1, out=np.zeros(d.shape), where=lam1 > 0.0)
-    return (np.sqrt(lam1), np.sqrt(lam2))
+    sigma1 = np.sqrt(_gram_eigenvalue(n0, beta, gamma, np.sqrt))
+    sigma2 = np.divide(n0 * gamma, sigma1, out=np.zeros(sigma1.shape), where=sigma1 > 0.0)
+    return (sigma1, sigma2)
 
 
 def subspace_equal(s: Subspace, t: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:

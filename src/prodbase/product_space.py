@@ -3,10 +3,14 @@
 The coordinate convention is row-major with the qubit index major: the entry
 of ``kron(a, b)`` at index ``k*n + j`` is ``a[k] * b[j]``, so reshaping a
 vector of C^(2n) to a 2 x n matrix recovers the outer product of its factors.
+
+`factorize` does one vector from its scalar Gram entries, `factor_arrays` a stack in one
+batched call: numpy's fixed per-call cost makes each the cheaper one at its own size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,25 +61,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def _dominant_factors(M: np.ndarray, sigma1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Phase-canonicalized unit factors of the dominant singular pair of each
-    matrix in a (k, 2, n) stack with largest singular values `sigma1`:
-    qubit factors (k x 2), qudit factors (k x n).
-
-    For the Gram [[p, q], [q*, s]] and lam = sigma1**2, the qubit factor is the
-    longer of (q, lam - p) and (lam - s, q*), so no difference of nearly equal
-    numbers decides it; (1, 0) when both vanish (sigma1 = sigma2).
-    """
-    G = M @ M.conj().transpose(0, 2, 1)
-    p, s = G[:, 0, 0].real.copy(), G[:, 1, 1].real.copy()
-    G[:, 0, 0], G[:, 1, 1] = sigma1**2 - s, sigma1**2 - p  # columns (lam - s, q*), (q, lam - p)
-    a = np.where((p < s)[:, None], G[:, :, 1], G[:, :, 0])
-    a[~a.any(axis=1), 0] = 1.0
-    a = canonical_phase(a) / np.linalg.norm(a, axis=1, keepdims=True)
-    b = np.einsum("ki,kij->kj", a.conj(), M)
-    return a, canonical_phase(b / np.linalg.norm(b, axis=1, keepdims=True))
-
-
 def factor_arrays(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factorize every row of a (k, 2n) array in one batched call.
 
@@ -83,12 +68,21 @@ def factor_arrays(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (k x n) as `factorize` would give them, and the second singular value of
     its 2 x n reshape.  A row is a product state exactly when its sigma_2 is
     negligible; for an entangled row A and B hold only its dominant pair.
+    For the Gram [[p, q], [q*, s]] and lam = sigma1**2, the qubit factor is the
+    longer of (q, lam - p) and (lam - s, q*), so no difference of nearly equal
+    numbers decides it; (1, 0) when both vanish (sigma1 = sigma2).
     """
     rows = np.asarray(rows, dtype=np.complex128)
     M = rows.reshape(len(rows), 2, -1)
     sigma1, sigma2 = singular_values_2xn_stack(M)
-    a, b = _dominant_factors(M, sigma1)
-    return a, b, sigma2
+    G = M @ M.conj().transpose(0, 2, 1)
+    p, s = G[:, 0, 0].real.copy(), G[:, 1, 1].real.copy()
+    G[:, 0, 0], G[:, 1, 1] = sigma1**2 - s, sigma1**2 - p  # columns (lam - s, q*), (q, lam - p)
+    a = np.where((p < s)[:, None], G[:, :, 1], G[:, :, 0])
+    a[~a.any(axis=1), 0] = 1.0
+    a = canonical_phase(a) / np.linalg.norm(a, axis=1, keepdims=True)
+    b = np.einsum("ki,kij->kj", a.conj(), M)
+    return a, canonical_phase(b / np.linalg.norm(b, axis=1, keepdims=True)), sigma2
 
 
 def factorize(v, tol: Tolerances = DEFAULT_TOL):
@@ -99,8 +93,8 @@ def factorize(v, tol: Tolerances = DEFAULT_TOL):
     measured sigma_2 comes back.  Otherwise the dominant singular pair is
     returned as a `ProductVector` with both factors unit and
     phase-canonicalized, and the residual global phase recorded so that
-    ``v == pv.phase * pv.full`` up to roundoff.  It runs the code of
-    `factor_arrays` on one row.
+    ``v == pv.phase * pv.full`` up to roundoff.  It is `factor_arrays` on
+    one row, computed from the Gram entries p, s, q as Python numbers.
     """
     v = as_vector(v)
     if v.size % 2 != 0:
@@ -113,7 +107,15 @@ def factorize(v, tol: Tolerances = DEFAULT_TOL):
     sigma1, sigma2 = singular_values_2xn(M)
     if sigma2 > tol.eps_rank:
         return NotAProduct(sigma2=sigma2)
-    (a,), (b,) = _dominant_factors(M[None], np.array([sigma1]))
+    G = M @ M.conj().T
+    p, s, q = float(G[0, 0].real), float(G[1, 1].real), complex(G[0, 1])
+    a0, a1 = (q, sigma1**2 - p) if p < s else (sigma1**2 - s, q.conjugate())
+    a0 = 1.0 if a0 == 0 and a1 == 0 else a0
+    pivot = a0 if abs(a0) >= (1.0 - 1e-12) * abs(a1) else a1  # canonical_phase's tie rule
+    scale = abs(pivot) / pivot / math.hypot(abs(a0), abs(a1))
+    a = np.array([a0 * scale, a1 * scale])
+    b = a.conj() @ M
+    b = canonical_phase(b / math.sqrt(float(np.vdot(b, b).real)))
     full = np.outer(a, b).ravel()
     ph = inner(full, v)
     return ProductVector(a=a, b=b, full=full, phase=ph / abs(ph))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from prodbase.analyzer import (
     ProductBasis,
+    _span_distance,
     check_groupable,
     check_pairwise_condition,
     classify,
@@ -20,7 +21,7 @@ from prodbase.analyzer import (
     verify_product_basis,
 )
 from prodbase.generator import FamilyParams, TypeSpec, generate_from_type, named_family
-from prodbase.numerics import DEFAULT_TOL, inner, orthonormalize, subspace_equal
+from prodbase.numerics import DEFAULT_TOL, Subspace, Tolerances, inner, orthonormalize, subspace_equal
 from prodbase.partitions import Partition, partitions_of
 from prodbase.product_space import NotAProduct, kron
 
@@ -420,3 +421,51 @@ def test_classify_stable_below_tolerance(basis, seed):
     after = classify(ProductBasis(basis.n, moved))
     assert after.valid == before.valid
     assert after.right_type == before.right_type
+
+
+def _turned_block_basis(theta: float) -> ProductBasis:
+    """C^2 (x) C^9 as a 1-block ({|0>, |1>} on e0) and an 8-block ({|+>, |->} on
+    e1..e8); the |1> vector's qudit factor turned by `theta` out of span(e0),
+    toward the uniform vector w of e1..e8.  The turn costs the Gram matrix only
+    sin(theta) * <+|1> * <w|e_j> = sin(theta) / 4, but moves the span of the
+    1-block's A-perp group by the full sin(theta)."""
+    eye = np.eye(9, dtype=complex)
+    w = eye[1:].sum(axis=0) / math.sqrt(8.0)
+    turned = math.cos(theta) * eye[0] + math.sin(theta) * w
+    minus = np.array([1.0, -1.0], dtype=complex) / RT2
+    vectors = [kron(KET0, eye[0]), kron(KET1, turned)]
+    vectors += [kron(qubit, eye[j]) for qubit in (PLUS, minus) for j in range(1, 9)]
+    return ProductBasis(9, vectors)
+
+
+def test_classify_span_check_flips_between_tiny_and_large_turns():
+    # eps_orth sits between the Gram cost (theta / 4) and the span distance
+    # (sqrt(2) * theta, against sqrt(2) * eps_orth for a 1-vector block)
+    tol = Tolerances(eps_orth=5e-7)
+    assert classify(_turned_block_basis(1e-12), tol).valid
+    report = classify(_turned_block_basis(1e-6), tol)
+    assert not report.valid
+    assert report.gram_residual <= tol.eps_orth
+    assert report.diagnostics == (
+        "qudit groups of block (0,) do not span one common subspace of dimension 1",
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.floats(-7.0, 0.0), st.integers(0, 2**32 - 1))
+def test_span_distance_matches_the_projector_distance(m, extra, log_turn, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    n = m + extra
+
+    def frame(cols):
+        return np.linalg.qr(cols)[0]
+
+    q = frame(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+    kick = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    rows = frame(q + 10.0**log_turn * kick).T
+    # rows within 1e-12 of orthonormal, as a group passing its Gram check is
+    rows = rows + 1e-12 * (rng.standard_normal(rows.shape) + 1j * rng.standard_normal(rows.shape))
+    projector_distance = float(
+        np.linalg.norm(Subspace(n, q).projector() - Subspace(n, frame(rows.T)).projector())
+    )
+    assert abs(_span_distance(q, rows) - projector_distance) <= 1e-6 * projector_distance

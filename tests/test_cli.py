@@ -159,6 +159,17 @@ def test_mub_check_detects_bias(tmp_path, capsys):
     assert "all pairs mutually unbiased: no" in text
 
 
+def test_mub_check_of_different_dimensions_is_a_usage_error(tmp_path, capsys):
+    small, large = tmp_path / "small.json", tmp_path / "large.json"
+    save_basis_file(small, computational_basis(2))
+    save_basis_file(large, computational_basis(3))
+    assert main(["mub-check", str(small), str(small), str(large)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "d = 4 and d = 6" in captured.err
+
+
 def test_family_unknown_tag(capsys):
     assert main(["family", "bogus"]) == 2
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodbase.numerics import (
     DEFAULT_TOL,
@@ -236,3 +238,17 @@ def test_canonical_phase_ties_within_roundoff_go_to_the_first_entry():
     for v in (np.array([c, phase * s]), np.array([phase * s, c])):
         for out in (canonical_phase(v), canonical_phase(v[None])[0]):
             assert abs(out[0].imag) < 1e-15 and out[0].real > 0.7
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 130), st.integers(0, 2**32 - 1), st.sampled_from(("generic", "tie", "real", "scaled")))
+def test_canonical_phase_of_a_vector_is_bit_identical_to_the_row_path(n, seed, kind):
+    rng = _rng(seed)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if kind == "tie":
+        v[rng.integers(0, n)] = v[0] * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    elif kind == "real":
+        v = v.real.astype(complex)
+    elif kind == "scaled":
+        v *= 10.0 ** rng.uniform(-300.0, 300.0)
+    assert canonical_phase(v).tobytes() == canonical_phase(v[None])[0].tobytes()

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prodbase.numerics import Tolerances, canonical_phase, inner, singular_values_2xn
+from prodbase.numerics import (
+    Tolerances,
+    canonical_phase,
+    inner,
+    singular_values_2xn,
+    singular_values_2xn_stack,
+)
 from prodbase.product_space import NotAProduct, factor_arrays, factorize, kron, qubit_orthogonal
 
 RT2 = math.sqrt(2.0)
@@ -221,3 +227,71 @@ def test_factor_arrays_bell_row_is_finite():
     assert np.all(np.isfinite(A)) and np.all(np.isfinite(B))
     assert abs(sigma2[0] - 1.0 / RT2) < 1e-15 and sigma2[1] == 0.0
     assert np.allclose(np.linalg.norm(A, axis=1), 1.0) and np.allclose(np.linalg.norm(B, axis=1), 1.0)
+
+
+@st.composite
+def two_row_matrices(draw):
+    """A 2 x n matrix of unit Frobenius norm (or zero) of a kind the one-row
+    kernels branch on: a longer second row, equal row norms (Bell-like, both
+    singular values equal), a zero row, the zero matrix, entangled rows, a
+    product, or a product whose qubit factor has two equal moduli (a tie)."""
+    n = draw(st.integers(1, 64))
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ("longer-second", "bell", "zero-row", "zero", "entangled", "product", "tied-product")
+    kind = draw(st.sampled_from(kinds))
+    r0, r1 = _random_unit(rng, n), _random_unit(rng, n)
+    if kind == "longer-second":
+        m = np.stack([rng.uniform(0.0, 1.0) * r0, r1])
+    elif kind == "bell":
+        if n > 1:
+            r1 = r1 - np.vdot(r0, r1) * r0
+        m = np.stack([r0, r1 / np.linalg.norm(r1)])
+    elif kind == "zero-row":
+        m = np.stack([np.zeros(n), r1])
+    elif kind == "zero":
+        m = np.zeros((2, n), dtype=complex)
+    elif kind == "entangled":
+        m = np.stack([r0, r1])
+    elif kind == "product":
+        m = np.outer(_random_unit(rng, 2), r0)
+    else:
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        m = np.outer([math.cos(math.pi / 4), phase * math.sin(math.pi / 4)], r0)
+    if draw(st.booleans()):
+        m = m[::-1]
+    norm = np.linalg.norm(m)
+    return m / norm if norm else m
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_row_matrices())
+def test_one_row_kernels_match_the_batched_ones(m):
+    s1, s2 = singular_values_2xn(m)
+    (t1,), (t2,) = singular_values_2xn_stack(m[None])
+    assert abs(s1 - t1) <= 1e-15 and abs(s2 - t2) <= 1e-15
+    if not m.any():
+        return
+    v = m.ravel()
+    (a,), (b,), (sigma2,) = factor_arrays(v[None])
+    result = factorize(v)
+    if result:
+        assert np.max(np.abs(result.a - a)) <= 1e-12 and np.max(np.abs(result.b - b)) <= 1e-12
+    else:
+        assert abs(result.sigma2 - sigma2) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "kernel, arg, message",
+    [
+        (factorize, np.ones(3) / math.sqrt(3.0), "odd dimension 3"),
+        (factorize, np.array([1, 0, 1, 0], dtype=complex), "not-normalized"),
+        (factorize, np.array([np.nan, 0, 0, 1]), "non-finite"),
+        (factorize, np.eye(2), "expected a 1-d vector"),
+        (singular_values_2xn, np.zeros((3, 4)), "expected a matrix with 2 rows"),
+        (singular_values_2xn, np.zeros(4), "expected a matrix with 2 rows"),
+    ],
+    ids=["odd", "non-normalized", "non-finite", "matrix", "three-rows", "vector"],
+)
+def test_one_row_kernels_keep_their_input_errors(kernel, arg, message):
+    with pytest.raises(ValueError, match=message):
+        kernel(arg)

@@ -12,7 +12,9 @@ overlap moduli of their qubit factors and of their qudit factors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +49,8 @@ class ProductBasis:
     """An ordered set of 2n unit vectors in C^(2n) claimed to form a product basis.
 
     `vectors` is a read-only (2n, 2n) complex128 copy of the rows given, one
-    row per vector; nothing is cached, so an instance can be shared freely.
+    row per vector.  The checks share one factorization of those rows, made on
+    first use and read-only like `vectors`, so an instance can be shared freely.
     """
 
     def __init__(self, n: int, vectors, tol: Tolerances = DEFAULT_TOL, meta=None):
@@ -77,6 +80,27 @@ class ProductBasis:
 
     def __repr__(self):
         return f"<ProductBasis 2x{self.n}, {len(self.vectors)} vectors>"
+
+    @functools.cached_property
+    def _factors(self) -> _Factors:
+        qubits, qudits, sigma2 = factor_arrays(self.vectors)
+        overlaps = (np.abs(f.conj() @ f.T) for f in (qubits, qudits))
+        factors = _Factors(qubits, qudits, sigma2, *overlaps)
+        for array in factors:
+            array.flags.writeable = False
+        return factors
+
+
+class _Factors(NamedTuple):
+    """`factor_arrays` of a basis' rows, and the overlap moduli |<r_i|r_j>| of its
+    qubit and of its qudit factors; every array is read-only.  A named tuple, not a
+    frozen dataclass, because building that class costs each import about 0.6 ms."""
+
+    qubits: np.ndarray
+    qudits: np.ndarray
+    sigma2: np.ndarray
+    qubit_overlaps: np.ndarray
+    qudit_overlaps: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +142,8 @@ class StructureReport:
 
 
 def factorize_all(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> list:
-    """Factorize every basis vector; the checks below use `factor_arrays`.
+    """Factorize every basis vector, one `factorize` call each; the checks below
+    share the basis' one batched factorization instead.
 
     Returns, per vector, a ProductVector or a NotAProduct marker carrying the
     measured sigma_2.  Orthonormality is not required.
@@ -143,31 +168,27 @@ def verify_product_basis(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL):
     return (ok_orth and all(results), results)
 
 
-def _product_factors(basis: ProductBasis, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Qubit (2n x 2) and qudit (2n x n) factor rows; ValueError names a non-product vector."""
-    qubits, qudits, sigma2 = factor_arrays(basis.vectors)
-    entangled = np.flatnonzero(sigma2 > tol.eps_rank)
+def _product_factors(basis: ProductBasis, tol: Tolerances) -> _Factors:
+    """The basis' shared factors; ValueError names the first non-product vector."""
+    factors = basis._factors
+    entangled = np.flatnonzero(factors.sigma2 > tol.eps_rank)
     if entangled.size:
         k = int(entangled[0])
-        raise ValueError(f"vector {k} is not a product state (sigma2 {sigma2[k]:.6e})")
-    return qubits, qudits
-
-
-def _overlaps(rows: np.ndarray) -> np.ndarray:
-    """|<r_i|r_j>| for every pair of rows."""
-    return np.abs(rows.conj() @ rows.T)
+        raise ValueError(f"vector {k} is not a product state (sigma2 {factors.sigma2[k]:.6e})")
+    return factors
 
 
 def check_pairwise_condition(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> bool:
     """For every pair i != j, at least one factor overlap vanishes."""
-    qubits, qudits = _product_factors(basis, tol)
-    smaller = np.minimum(_overlaps(qubits), _overlaps(qudits))
+    factors = _product_factors(basis, tol)
+    smaller = np.minimum(factors.qubit_overlaps, factors.qudit_overlaps)
     np.fill_diagonal(smaller, 0.0)
     return bool(np.all(smaller <= tol.eps_orth))
 
 
-def _ray_classes(qubits: np.ndarray, tol: Tolerances):
-    """Ray classes of the qubit factors, and each class's orthogonal partner.
+def _ray_classes(overlap: np.ndarray, tol: Tolerances):
+    """Ray classes of the qubit factors, from their overlap moduli, and each
+    class's orthogonal partner.
 
     The classes are the connected components of the ray-equality graph
     (|overlap| >= 1 - eps_ray), as tuples of basis positions ordered by
@@ -176,18 +197,11 @@ def _ray_classes(qubits: np.ndarray, tol: Tolerances):
     internally inconsistent (transitivity degraded beyond 2*eps_ray) or the
     classes do not pair up one to one.
     """
-    overlap = _overlaps(qubits)
-    same = overlap >= 1.0 - tol.eps_ray
-    # Each position repeatedly takes the smallest label among its neighbours;
-    # once nothing changes, every component carries its first member's label.
-    positions = labels = np.arange(len(qubits))
-    while True:
-        smallest = np.min(np.where(same, labels, len(labels)), axis=1)
-        if np.array_equal(smallest, labels):
-            break
-        labels = smallest
-    firsts = np.flatnonzero(labels == positions)
-    classes = [tuple(np.flatnonzero(labels == first).tolist()) for first in firsts]
+    labels = _component_labels(overlap >= 1.0 - tol.eps_ray)
+    firsts = np.flatnonzero(labels == np.arange(len(labels)))
+    order = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels)[firsts]).tolist()
+    classes = [tuple(order[start:end]) for start, end in zip([0, *ends], ends)]
     loose = (labels[:, None] == labels) & (1.0 - overlap >= 2.0 * tol.eps_ray)
     if loose.any():
         u, v = (int(x) for x in np.argwhere(loose)[0])
@@ -196,7 +210,7 @@ def _ray_classes(qubits: np.ndarray, tol: Tolerances):
             f"ray class {members} is internally inconsistent: "
             f"vectors {u} and {v} differ by more than 2*eps_ray"
         )
-    orthogonal = overlap[np.ix_(firsts, firsts)] <= tol.eps_orth
+    orthogonal = overlap[firsts][:, firsts] <= tol.eps_orth
     counts = orthogonal.sum(axis=1)
     unpaired = np.flatnonzero(counts != 1)
     if unpaired.size:
@@ -213,23 +227,28 @@ def _ray_classes(qubits: np.ndarray, tol: Tolerances):
     return classes, partner
 
 
+def _component_labels(adjacent: np.ndarray) -> np.ndarray:
+    """Each vertex's connected component, labelled by its first vertex: every vertex
+    takes the smallest label among itself and its neighbours until nothing changes,
+    all vertices at once."""
+    labels = np.arange(len(adjacent))
+    while True:
+        smallest = np.minimum(labels, np.where(adjacent, labels, len(labels)).min(axis=1))
+        if (smallest == labels).all():
+            return labels
+        labels = smallest
+
+
 def _two_colourable(meets: np.ndarray) -> bool:
-    """Whether the graph with adjacency matrix `meets` is bipartite: breadth-first
-    layers alternate the colours, and the colouring found is proper exactly when any is."""
+    """Whether the graph with adjacency matrix `meets` is bipartite.  In its double
+    cover, where (u, 0) meets (v, 1) whenever u meets v, the two copies of a vertex
+    are connected exactly when its component has an odd cycle."""
     d = len(meets)
     np.fill_diagonal(meets, False)
-    colour = np.full(d, -1)
-    for start in range(d):
-        if colour[start] >= 0:
-            continue
-        layer = np.zeros(d, dtype=bool)
-        layer[start] = True
-        parity = 0
-        while layer.any():
-            colour[layer] = parity
-            layer = meets[layer].any(axis=0) & (colour < 0)
-            parity ^= 1
-    return not np.any(meets & (colour[:, None] == colour))
+    cover = np.zeros((2 * d, 2 * d), dtype=bool)
+    cover[:d, d:] = cover[d:, :d] = meets
+    labels = _component_labels(cover)
+    return not np.any(labels[:d] == labels[d:])
 
 
 def check_groupable(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -248,27 +267,23 @@ def check_groupable(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> bool:
     eps_orth < 1e-3 and n < 1000), hence nonsingular, which is impossible;
     so each colour holds at most n of the 2n vectors, that is exactly n.
     """
-    qubits, qudits = _product_factors(basis, tol)
+    factors = _product_factors(basis, tol)
     try:
-        classes, partner = _ray_classes(qubits, tol)
+        classes, partner = _ray_classes(factors.qubit_overlaps, tol)
     except ValueError:
         return False
     if any(len(classes[c]) != len(classes[e]) for c, e in enumerate(partner)):
         return False
-    return _two_colourable(_overlaps(qudits) > tol.eps_orth)
+    return _two_colourable(factors.qudit_overlaps > tol.eps_orth)
 
 
-def _same_ray_sets(group1: np.ndarray, group2: np.ndarray, tol: Tolerances) -> bool:
-    """Whether two orthonormal families coincide as sets of rays: their
-    near-parallel pairs form a permutation."""
-    parallel = np.abs(group1.conj() @ group2.T) >= 1.0 - tol.eps_ray
-    return bool(np.all(parallel.sum(axis=0) == 1) and np.all(parallel.sum(axis=1) == 1))
-
-
-def _span_distance(q: np.ndarray, rows: np.ndarray) -> float:
-    """sqrt(2) ||(I - Q Q^H) R^T||_F: for orthonormal rows R, the Frobenius distance
-    between the projectors onto span(Q) and span(R), with no n x n matrix formed."""
-    return float(np.sqrt(2.0) * np.linalg.norm(rows.T - q @ (q.conj().T @ rows.T)))
+def _span_distance(q: np.ndarray, rows: np.ndarray):
+    """sqrt(2) ||(I - Q Q^H) R^T||_F, per matrix of a stack: for orthonormal rows R, the
+    Frobenius distance between the projectors onto span(Q) and span(R), with no n x n
+    matrix formed."""
+    cols = rows.swapaxes(-1, -2)
+    outside = cols - q @ (q.conj().swapaxes(-1, -2) @ cols)
+    return np.sqrt(2.0) * np.linalg.norm(outside, axis=(-2, -1))
 
 
 def classify(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> StructureReport:
@@ -290,54 +305,59 @@ def classify(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> StructureRep
     if not ok_orth:
         return failed(f"not orthonormal: Gram residual {residual:.6e} exceeds eps_orth")
     try:
-        qubits, qudits = _product_factors(basis, tol)
-        classes, partner = _ray_classes(qubits, tol)
+        factors = _product_factors(basis, tol)
+        classes, partner = _ray_classes(factors.qubit_overlaps, tol)
     except ValueError as exc:
         return failed(str(exc))
 
-    blocks: list[PairBlock] = []
-    for c, e in enumerate(partner):
-        if c > e:
-            continue
-        idx_a, idx_p = classes[c], classes[e]
+    # The report names the first failing block in class order, at its first failing
+    # check: cardinality, group A, group A-perp, span.  Blocks of one size are
+    # checked together.
+    pairs = [(classes[c], classes[e]) for c, e in enumerate(partner.tolist()) if c < e]
+    faults, sizes, blocks, overlaps = {}, {}, [], factors.qudit_overlaps
+    for j, (idx_a, idx_p) in enumerate(pairs):
         if len(idx_a) != len(idx_p):
-            return failed(f"paired ray classes {idx_a} and {idx_p} have unequal cardinalities")
-        group_a = qudits[list(idx_a)]
-        group_p = qudits[list(idx_p)]
-        for name, group in (("A", group_a), ("A-perp", group_p)):
-            res = gram_residual(group)
+            faults[j] = f"paired ray classes {idx_a} and {idx_p} have unequal cardinalities"
+        else:
+            sizes.setdefault(len(idx_a), []).append(j)
+    for m, js in sizes.items():
+        ia, ip = (np.array([pairs[j][side] for j in js]) for side in (0, 1))
+        gram = (np.abs(overlaps[i[:, :, None], i[:, None]] - np.eye(m)) for i in (ia, ip))
+        res_a, res_p = (g.max(axis=(1, 2)).tolist() for g in gram)
+        group_a, group_p = factors.qudits[ia], factors.qudits[ip]
+        # where group A passes its Gram check, QR's Q spans it with full rank
+        q = np.linalg.qr(group_a.transpose(0, 2, 1))[0].transpose(0, 2, 1)
+        q = canonical_phase(q.reshape(-1, basis.n)).reshape(q.shape).transpose(0, 2, 1)
+        far = (_span_distance(q, group_p) > np.sqrt(2.0 * m) * tol.eps_orth).tolist()
+        # the groups coincide as sets of rays when their near-parallel pairs form a permutation
+        parallel = overlaps[ia[:, :, None], ip[:, None]] >= 1.0 - tol.eps_ray
+        same = ((parallel.sum(axis=1) == 1) & (parallel.sum(axis=2) == 1)).all(axis=1).tolist()
+        for t, j in enumerate(js):
+            idx_a, idx_p = pairs[j]
+            name, res = ("A", res_a[t]) if res_a[t] > tol.eps_orth else ("A-perp", res_p[t])
             if res > tol.eps_orth:
-                return failed(
+                faults[j] = (
                     f"qudit group {name} of block {idx_a} is not orthonormal (residual {res:.6e})"
                 )
-        # group A passed its Gram check, so QR's Q spans it with full rank
-        span_a = Subspace(basis.n, canonical_phase(np.linalg.qr(group_a.T)[0].T).T)
-        if _span_distance(span_a.basis, group_p) > np.sqrt(2.0 * len(idx_a)) * tol.eps_orth:
-            return failed(
-                f"qudit groups of block {idx_a} do not span one "
-                f"common subspace of dimension {len(idx_a)}"
-            )
-        blocks.append(
-            PairBlock(
-                a=qubits[idx_a[0]],
-                a_perp=qubits[idx_p[0]],
-                group_A=tuple(group_a),
-                group_Aperp=tuple(group_p),
-                subspace=span_a,
-                multiplicity=len(idx_a),
-                a_indices=idx_a,
-                a_perp_indices=idx_p,
-                groups_coincide=_same_ray_sets(group_a, group_p, tol),
-            )
-        )
-
+            elif far[t]:
+                faults[j] = (
+                    f"qudit groups of block {idx_a} do not span one "
+                    f"common subspace of dimension {m}"
+                )
+            a, a_perp = factors.qubits[idx_a[0]], factors.qubits[idx_p[0]]
+            groups, span = (tuple(group_a[t]), tuple(group_p[t])), Subspace(basis.n, q[t])
+            blocks.append(PairBlock(a, a_perp, *groups, span, m, idx_a, idx_p, same[t]))
+    if faults:
+        return failed(faults[min(faults)])
     blocks.sort(key=lambda blk: (-blk.multiplicity, blk.a_indices[0]))
     if sum(blk.multiplicity for blk in blocks) != basis.n:
         return failed("block multiplicities do not sum to n")
     basis_b1 = tuple(v for blk in blocks for v in blk.group_A)
     basis_b2 = tuple(v for blk in blocks for v in blk.group_Aperp)
-    for name, family in (("B1(n)", basis_b1), ("B2(n)", basis_b2)):
-        res = gram_residual(family)
+    b1 = [k for blk in blocks for k in blk.a_indices]
+    sides = np.array([b1, [k for blk in blocks for k in blk.a_perp_indices]])
+    gram = np.abs(overlaps[sides[:, :, None], sides[:, None]] - np.eye(basis.n)).max(axis=(1, 2))
+    for name, res in zip(("B1(n)", "B2(n)"), gram.tolist()):
         if res > tol.eps_orth:
             return failed(f"{name} is not an orthonormal basis of C^n (residual {res:.6e})")
     return StructureReport(

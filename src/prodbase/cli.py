@@ -33,7 +33,7 @@ from .analyzer import (
 )
 from .generator import FAMILY_TAGS, FamilyParams, TypeSpec, generate_from_type, named_family
 from .numerics import DEFAULT_TOL, Tolerances, as_vector, check_tolerance
-from .partitions import Partition, partition_count, partitions_of, type_count_lower_bound
+from .partitions import Partition, iter_partitions, partition_count, type_count_lower_bound
 
 __all__ = ["main", "load_basis_file", "save_basis_file", "BasisFileError"]
 
@@ -56,14 +56,34 @@ def save_basis_file(path, basis: ProductBasis) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def load_basis_file(path, tol: Tolerances = DEFAULT_TOL) -> ProductBasis:
-    """Read and validate a basis file; schema violations raise BasisFileError."""
+def _holds_bool(node) -> bool:
+    """Whether a JSON true or false, which Python takes for 1 or 0, is in `node`
+    outside a "meta" object."""
+    if isinstance(node, dict):
+        node = [value for key, value in node.items() if key != "meta"]
+    return isinstance(node, bool) or isinstance(node, list) and any(map(_holds_bool, node))
+
+
+def _read_json(path):
+    """The content of a JSON file of numbers; BasisFileError when the file cannot be
+    read, is not UTF-8 JSON, nests too deeply, or has a true or false outside "meta"."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        data = json.loads(text)
+        # the text test spares an n = 64 file the scan of its 16,384 numbers
+        bools = ("true" in text or "false" in text) and _holds_bool(data)
     except OSError as exc:
         raise BasisFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep
         raise BasisFileError(f"{path} is not valid JSON: {exc}") from exc
+    if bools:
+        raise BasisFileError(f"{path}: true and false are not numbers")
+    return data
+
+
+def load_basis_file(path, tol: Tolerances = DEFAULT_TOL) -> ProductBasis:
+    """Read and validate a basis file; schema violations raise BasisFileError."""
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise BasisFileError(f"{path}: top level must be an object")
     dims = data.get("dims")
@@ -72,7 +92,6 @@ def load_basis_file(path, tol: Tolerances = DEFAULT_TOL) -> ProductBasis:
         or len(dims) != 2
         or dims[0] != 2
         or not isinstance(dims[1], int)
-        or isinstance(dims[1], bool)
         or dims[1] < 1
     ):
         raise BasisFileError(f"{path}: dims must be [2, n] with positive integer n")
@@ -177,12 +196,11 @@ def cmd_classify(args) -> int:
             f"{_fmt_vec(blk.a)} / {_fmt_vec(blk.a_perp)}, subspace dim {blk.subspace.dim}"
             f"{', groups coincide' if blk.groups_coincide else ''}"
         )
-    print("B1(n):")
-    for v in report.basis_B1n:
-        print(f"  {_fmt_vec(v)}")
-    print("B2(n):")
-    for v in report.basis_B2n:
-        print(f"  {_fmt_vec(v)}")
+    row_fmt = "  (" + ", ".join(["%.6g%+.6gj"] * basis.n) + ")"
+    for name, family in (("B1(n)", report.basis_B1n), ("B2(n)", report.basis_B2n)):
+        print(f"{name}:")
+        for row in np.array(family).view(np.float64).tolist():
+            print(row_fmt % tuple(row))
     return 0
 
 
@@ -225,11 +243,7 @@ def cmd_family(args) -> int:
             return 2
         params_kwargs["unitary_params"] = (complex(args.alpha), complex(args.beta))
     if args.g_file is not None:
-        try:
-            raw = json.loads(Path(args.g_file).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read g-bases file: {exc}", file=sys.stderr)
-            return 2
+        raw = _read_json(args.g_file)
         if not isinstance(raw, dict):
             print("error: g-bases file must hold a JSON object", file=sys.stderr)
             return 2
@@ -277,12 +291,12 @@ def cmd_mub_check(args) -> int:
 
 def cmd_partitions(args) -> int:
     try:
-        plist = partitions_of(args.n)
+        partitions = iter_partitions(args.n)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for part in plist:
-        print(part)
+    for parts in partitions:
+        print("+".join(map(str, parts)))
     print(
         f"p({args.n})={partition_count(args.n)}, "
         f"type lower bound {type_count_lower_bound(args.n)}"

@@ -174,7 +174,7 @@ def _gram_eigenvalue(n0, beta, gamma, sqrt):
 
 
 def singular_values_2xn(m) -> tuple[float, float]:
-    """The two singular values (descending) of a matrix with 2 rows: the
+    """The two singular values (descending) of a finite matrix with 2 rows: the
     parameterization of `singular_values_2xn_stack` on scalars, by `vdot`."""
     M = np.asarray(m, dtype=np.complex128)
     if M.ndim != 2 or M.shape[0] != 2:
@@ -189,11 +189,13 @@ def singular_values_2xn(m) -> tuple[float, float]:
     w -= c2 * u
     gamma = math.sqrt(float(np.vdot(w, w).real))
     sigma1 = math.sqrt(_gram_eigenvalue(n0, abs(c1 + c2), gamma, math.sqrt))
+    if not math.isfinite(sigma1):  # a NaN or inf entry would otherwise give sigma_2 = 0
+        raise ValueError("vector has non-finite entries")
     return (sigma1, n0 * gamma / sigma1 if sigma1 > 0.0 else 0.0)
 
 
 def singular_values_2xn_stack(ms) -> tuple[np.ndarray, np.ndarray]:
-    """Both singular values of every matrix in a (k, 2, n) stack, descending.
+    """Both singular values of every matrix in a finite (k, 2, n) stack, descending.
 
     Closed form from the 2x2 Gram quadratic, evaluated on the row-triangular
     parameterization (row norms plus the orthogonalized cross term) rather
@@ -215,6 +217,8 @@ def singular_values_2xn_stack(ms) -> tuple[np.ndarray, np.ndarray]:
     beta = np.abs(c1 + c2)
     gamma = np.linalg.norm(w, axis=1)
     sigma1 = np.sqrt(_gram_eigenvalue(n0, beta, gamma, np.sqrt))
+    if not np.isfinite(sigma1).all():  # a NaN or inf entry would otherwise give sigma_2 = 0
+        raise ValueError("vector has non-finite entries")
     sigma2 = np.divide(n0 * gamma, sigma1, out=np.zeros(sigma1.shape), where=sigma1 > 0.0)
     return (sigma1, sigma2)
 

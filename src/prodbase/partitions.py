@@ -12,6 +12,7 @@ from dataclasses import dataclass
 __all__ = [
     "MAX_N",
     "Partition",
+    "iter_partitions",
     "partitions_of",
     "partition_count",
     "type_count_lower_bound",
@@ -65,23 +66,38 @@ def _check_range(n: int) -> None:
         raise ValueError(f"n must be an integer in [1, {MAX_N}], got {n!r}")
 
 
+def iter_partitions(n: int):
+    """The parts of every partition of n as tuples, in reverse lexicographic order,
+    one at a time: algorithm ZS1 of Zoghbi and Stojmenovic (1998).  The range of n
+    is checked on the call, before the first partition is asked for."""
+    _check_range(n)
+    return _zs1(n)
+
+
+def _zs1(n: int):
+    # x[:m] holds the parts, x[h] is the last part above 1, and x[m:] is all ones
+    x, m, h = [n] + [1] * (n - 1), 1, 0
+    yield (n,)
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            m, h = m + 1, h - 1
+        else:
+            r, t = x[h] - 1, m - h  # t: the unit taken from x[h] plus the ones after it
+            x[h] = r
+            while t >= r:
+                h, t = h + 1, t - r
+                x[h] = r
+            m = h + 1 if t == 0 else h + 2
+            if t > 1:
+                h += 1
+                x[h] = t
+        yield tuple(x[:m])
+
+
 def partitions_of(n: int) -> list[Partition]:
     """All partitions of n, in reverse lexicographic order."""
-    _check_range(n)
-    out: list[Partition] = []
-    prefix: list[int] = []
-
-    def descend(remaining: int, max_part: int) -> None:
-        if remaining == 0:
-            out.append(Partition(tuple(prefix)))
-            return
-        for part in range(min(max_part, remaining), 0, -1):
-            prefix.append(part)
-            descend(remaining - part, part)
-            prefix.pop()
-
-    descend(n, n)
-    return out
+    return [Partition(parts) for parts in iter_partitions(n)]
 
 
 def partition_count(n: int) -> int:

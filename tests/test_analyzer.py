@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prodbase.analyzer as analyzer
 from prodbase.analyzer import (
     ProductBasis,
+    StructureReport,
     _span_distance,
     check_groupable,
     check_pairwise_condition,
@@ -21,9 +23,18 @@ from prodbase.analyzer import (
     verify_product_basis,
 )
 from prodbase.generator import FamilyParams, TypeSpec, generate_from_type, named_family
-from prodbase.numerics import DEFAULT_TOL, Subspace, Tolerances, inner, orthonormalize, subspace_equal
+from prodbase.numerics import (
+    DEFAULT_TOL,
+    Subspace,
+    Tolerances,
+    canonical_phase,
+    gram_residual,
+    inner,
+    orthonormalize,
+    subspace_equal,
+)
 from prodbase.partitions import Partition, partitions_of
-from prodbase.product_space import NotAProduct, kron
+from prodbase.product_space import NotAProduct, factor_arrays, kron
 
 RT2 = math.sqrt(2.0)
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -469,3 +480,170 @@ def test_span_distance_matches_the_projector_distance(m, extra, log_turn, seed):
         np.linalg.norm(Subspace(n, q).projector() - Subspace(n, frame(rows.T)).projector())
     )
     assert abs(_span_distance(q, rows) - projector_distance) <= 1e-6 * projector_distance
+
+
+def test_checks_share_one_read_only_factorization(monkeypatch):
+    calls = []
+    real = analyzer.factor_arrays
+    counted = lambda rows: calls.append(len(rows)) or real(rows)  # noqa: E731
+    monkeypatch.setattr(analyzer, "factor_arrays", counted)
+    basis = generate_from_type(TypeSpec(n=6, partition=Partition((3, 2, 1)), seed=2))
+    assert check_pairwise_condition(basis) and check_groupable(basis) and classify(basis).valid
+    assert calls == [12]
+    factors = basis._factors
+    arrays = (factors.qubits, factors.qudits, factors.sigma2)
+    arrays += (factors.qubit_overlaps, factors.qudit_overlaps)
+    assert all(not array.flags.writeable for array in arrays)
+    assert not classify(basis).blocks[0].a.flags.writeable
+    # a classify that stops at the Gram check factors nothing
+    repeated = ProductBasis(2, [kron(KET0, KET0)] * 4)
+    assert not classify(repeated).valid
+    assert calls == [12] and "_factors" not in vars(repeated)
+
+
+@settings(max_examples=60, deadline=None)
+@given(classify_inputs(), st.integers(0, 2**32 - 1))
+def test_classify_is_invariant_under_local_unitaries_permutations_and_phases(basis, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    n = basis.n
+    local = np.kron(_unitary(rng, 2), _unitary(rng, n))
+    phases = np.exp(2j * np.pi * rng.random(2 * n))
+    moved = (basis.vectors @ local.T)[rng.permutation(2 * n)] * phases[:, None]
+    before, after = classify(basis), classify(ProductBasis(n, moved))
+    assert after.valid == before.valid
+    assert after.right_type == before.right_type
+    assert after.is_direct_product == before.is_direct_product
+
+
+def _classify_block_by_block(basis, tol=DEFAULT_TOL):
+    """Reference for classify past its Gram check: every block's checks in turn,
+    stopping at the first failure.  Returns (diagnostic, None) or (None, blocks)."""
+    qubits, qudits, _ = factor_arrays(basis.vectors)
+    try:
+        classes, partner = analyzer._ray_classes(np.abs(qubits.conj() @ qubits.T), tol)
+    except ValueError as exc:
+        return str(exc), None
+    blocks = []
+    for c, e in enumerate(partner):
+        if c > e:
+            continue
+        idx_a, idx_p = classes[c], classes[e]
+        if len(idx_a) != len(idx_p):
+            return f"paired ray classes {idx_a} and {idx_p} have unequal cardinalities", None
+        group_a, group_p = qudits[list(idx_a)], qudits[list(idx_p)]
+        for name, group in (("A", group_a), ("A-perp", group_p)):
+            res = gram_residual(group)
+            if res > tol.eps_orth:
+                diagnostic = f"qudit group {name} of block {idx_a} is not orthonormal"
+                return f"{diagnostic} (residual {res:.6e})", None
+        q = canonical_phase(np.linalg.qr(group_a.T)[0].T).T
+        distance = RT2 * np.linalg.norm(group_p.T - q @ (q.conj().T @ group_p.T))
+        if distance > math.sqrt(2.0 * len(idx_a)) * tol.eps_orth:
+            diagnostic = f"qudit groups of block {idx_a} do not span one common subspace"
+            return f"{diagnostic} of dimension {len(idx_a)}", None
+        parallel = np.abs(group_a.conj() @ group_p.T) >= 1.0 - tol.eps_ray
+        coincide = bool(np.all(parallel.sum(axis=0) == 1) and np.all(parallel.sum(axis=1) == 1))
+        blocks.append((idx_a, idx_p, q, group_a, group_p, coincide))
+    blocks.sort(key=lambda blk: (-len(blk[0]), blk[0][0]))
+    for name, side in (("B1(n)", 3), ("B2(n)", 4)):
+        res = gram_residual(np.concatenate([blk[side] for blk in blocks]))
+        if res > tol.eps_orth:
+            return f"{name} is not an orthonormal basis of C^n (residual {res:.6e})", None
+    return None, blocks
+
+
+FAULTS = ("none", "cardinality", "group A", "group A-perp", "both groups", "span", "turn")
+
+
+def _with_faults(basis, faults):
+    """`basis` with the i-th fault of FAULTS applied to its i-th block in the order of
+    the blocks' first members; a fault the block is too small for is skipped."""
+    qubits, qudits, _ = factor_arrays(basis.vectors)
+    blocks = sorted(classify(basis).blocks, key=lambda blk: blk.a_indices[0])
+    for blk, fault in zip(blocks, faults):
+        idx_a, idx_p = blk.a_indices, blk.a_perp_indices
+        others = [k for k in range(2 * basis.n) if k not in idx_a + idx_p]
+        if fault == "cardinality" and blk.multiplicity > 1:
+            qubits[idx_p[0]] = qubits[idx_a[0]]  # one vector changes sides
+        elif "group" in fault and blk.multiplicity > 1:
+            for idx in {"group A": [idx_a], "group A-perp": [idx_p]}.get(fault, [idx_a, idx_p]):
+                qudits[idx[1]] = (qudits[idx[0]] + qudits[idx[1]]) / RT2
+        elif fault == "span" and others:
+            # still orthogonal to the rest of its group, but outside the block's subspace
+            qudits[idx_p[0]] = (qudits[idx_p[0]] + qudits[others[0]]) / RT2
+        elif fault == "turn" and others:
+            # the whole block turns toward another block: its own checks still hold,
+            # but B1(n) and B2(n) are no longer orthonormal
+            x = qudits[idx_a[0]]
+            y = qudits[others[0]] - np.vdot(x, qudits[others[0]]) * x
+            if np.linalg.norm(y) > 0.1:
+                y = y / np.linalg.norm(y)
+                plane = np.outer(x, x.conj()) + np.outer(y, y.conj())
+                turn = np.eye(basis.n) + (math.cos(0.3) - 1.0) * plane
+                turn = turn + math.sin(0.3) * (np.outer(y, x.conj()) - np.outer(x, y.conj()))
+                qudits[list(idx_a + idx_p)] = qudits[list(idx_a + idx_p)] @ turn.T
+    qudits /= np.linalg.norm(qudits, axis=1, keepdims=True)
+    return ProductBasis(basis.n, np.einsum("ki,kj->kij", qubits, qudits).reshape(len(qubits), -1))
+
+
+def _classify_matches_block_by_block(basis) -> StructureReport:
+    """classify's report, asserted equal to the reference's; both start past the whole
+    basis' Gram check, so that every block check can fail."""
+    diagnostic, expected = _classify_block_by_block(basis)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analyzer, "verify_orthonormal", lambda basis, tol: (True, 0.0))
+        report = classify(basis)
+    if diagnostic is not None:
+        assert report.diagnostics == (diagnostic,)
+        return report
+    assert report.valid and len(report.blocks) == len(expected)
+    for blk, (idx_a, idx_p, q, group_a, group_p, coincide) in zip(report.blocks, expected):
+        assert (blk.a_indices, blk.a_perp_indices, blk.groups_coincide) == (idx_a, idx_p, coincide)
+        assert np.array_equal(blk.subspace.basis, q)
+        assert np.array_equal(blk.group_A, group_a) and np.array_equal(blk.group_Aperp, group_p)
+    return report
+
+
+@st.composite
+def faulty_bases(draw):
+    n = draw(st.integers(2, 8))
+    spec = TypeSpec(
+        n=n,
+        partition=draw(st.sampled_from(partitions_of(n))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        pair_mode=draw(st.sampled_from(("equal-groups", "independent-groups"))),
+    )
+    faults = draw(st.lists(st.sampled_from(FAULTS), max_size=8))
+    return _with_faults(generate_from_type(spec), faults)
+
+
+@settings(max_examples=150, deadline=None)
+@given(faulty_bases())
+def test_classify_matches_a_block_by_block_reference(basis):
+    _classify_matches_block_by_block(basis)
+
+
+@pytest.mark.parametrize(
+    "faults, first",
+    [
+        (("span", "group A"), "qudit groups of block"),
+        (("none", "group A-perp", "cardinality"), "qudit group A-perp of block"),
+        (("cardinality", "span"), "paired ray classes"),
+        (("none", "none", "group A"), "qudit group A of block"),
+        (("both groups", "cardinality"), "qudit group A of block"),
+    ],
+)
+def test_classify_reports_the_first_of_two_block_faults(faults, first):
+    base = generate_from_type(TypeSpec(n=8, partition=Partition((3, 3, 2)), seed=4))
+    report = _classify_matches_block_by_block(_with_faults(base, faults))
+    assert report.diagnostics[0].startswith(first)
+
+
+def test_ray_classes_are_ascending_tuples_in_first_member_order():
+    rng = np.random.Generator(np.random.Philox(9))
+    base = generate_from_type(TypeSpec(n=64, partition=Partition((8,) * 8), seed=1))
+    basis = ProductBasis(64, base.vectors[rng.permutation(128)])
+    classes, _ = analyzer._ray_classes(basis._factors.qubit_overlaps, DEFAULT_TOL)
+    assert sorted(k for c in classes for k in c) == list(range(128))
+    assert all(list(c) == sorted(c) for c in classes)
+    assert [c[0] for c in classes] == sorted(c[0] for c in classes)

@@ -5,10 +5,11 @@ import re
 import numpy as np
 import pytest
 
+import prodbase.analyzer
 from prodbase.analyzer import ProductBasis
 from prodbase.cli import BasisFileError, _build_parser, load_basis_file, main, save_basis_file
 from prodbase.generator import FamilyParams, TypeSpec, generate_from_type, named_family
-from prodbase.partitions import Partition
+from prodbase.partitions import Partition, partition_count, partitions_of
 
 RT2 = math.sqrt(2.0)
 
@@ -380,3 +381,79 @@ def test_classify_text_is_pinned(tmp_path, capsys):
     assert head == f"file: {path}"
     assert re.fullmatch(r"valid: yes \(Gram residual \d\.\d{6}e-1[5-7]\)", valid)
     assert rest == D6_B2_CLASSIFY
+
+
+def _g_file_text():
+    from prodbase.generator import MUB6_FACTORS
+
+    def encode(mat):
+        return [[[z.real, z.imag] for z in mat[:, k]] for k in range(3)]
+
+    eye3, fourier, second = np.eye(3, dtype=complex), MUB6_FACTORS[0][1], MUB6_FACTORS[1][1]
+    families = (eye3, eye3, fourier, fourier, second, second)
+    keys = ("z0", "z1", "x0", "x1", "y0", "y1")
+    return json.dumps({key: encode(m) for key, m in zip(keys, families)})
+
+
+@pytest.mark.parametrize("fault", ["deep nesting", "not UTF-8", "true/false entry"])
+@pytest.mark.parametrize("reader", ["basis", "g-file"])
+def test_json_input_faults_are_usage_errors(tmp_path, capsys, reader, fault):
+    path = tmp_path / "in.json"
+    if reader == "basis":
+        save_basis_file(path, computational_basis(2))
+        text, number = path.read_text(), "[1, 0]"
+        argv = ["verify", str(path)]
+    else:
+        text, number = _g_file_text(), "[1.0, 0.0]"
+        out = str(tmp_path / "t.json")
+        argv = ["family", "general_mupb_triple", "--g-file", str(path), "--out", out]
+    # the untouched file is accepted
+    path.write_text(text)
+    assert main(argv) == 0
+    capsys.readouterr()
+    if fault == "deep nesting":
+        path.write_text("[" * 100_000)
+    elif fault == "not UTF-8":
+        path.write_bytes(text.replace("{", '{"note": "\xff", ', 1).encode("latin-1"))
+    else:
+        path.write_text(text.replace(number, "[true, false]", 1))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_load_accepts_true_and_false_in_meta(tmp_path):
+    path = tmp_path / "meta.json"
+    basis = computational_basis(1)
+    basis.meta.update(checked=True, entangled=False)
+    save_basis_file(path, basis)
+    assert load_basis_file(path).meta == {"checked": True, "entangled": False}
+
+
+def test_verify_factors_the_basis_once_and_not_when_a_row_is_entangled(tmp_path, monkeypatch):
+    calls = []
+    real = prodbase.analyzer.factor_arrays
+    counted = lambda rows: calls.append(1) or real(rows)  # noqa: E731
+    monkeypatch.setattr(prodbase.analyzer, "factor_arrays", counted)
+    good, entangled = tmp_path / "good.json", tmp_path / "bell.json"
+    save_basis_file(good, computational_basis(3))
+    save_basis_file(entangled, bell_completion_basis())
+    assert main(["verify", str(good)]) == 0
+    assert calls == [1]  # shared by the pairwise and grouping checks
+    assert main(["verify", str(entangled)]) == 1
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 30])
+def test_partitions_text(capsys, n):
+    assert main(["partitions", str(n)]) == 0
+    count = partition_count(n)
+    expected = [str(p) for p in partitions_of(n)]
+    expected.append(f"p({n})={count}, type lower bound {count + 1}")
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+
+def test_partitions_out_of_range_prints_nothing_on_stdout(capsys):
+    assert main(["partitions", "65"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: n must be an integer in [1, 64], got 65\n"

@@ -13,6 +13,7 @@ from prodbase.numerics import (
     inner,
     orthonormalize,
     singular_values_2xn,
+    singular_values_2xn_stack,
     subspace_equal,
 )
 
@@ -129,6 +130,19 @@ def test_singular_values_zero_matrix():
 def test_singular_values_shape_check():
     with pytest.raises(ValueError):
         singular_values_2xn(np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)])
+@pytest.mark.parametrize("row", [0, 1])
+def test_singular_values_reject_non_finite_entries(bad, row):
+    # a non-finite entry used to come back as sigma_2 = 0, a rank-one verdict
+    m = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=complex)
+    m[row, 2] = bad
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            singular_values_2xn(m)
+        with pytest.raises(ValueError, match="non-finite"):
+            singular_values_2xn_stack(np.stack([np.eye(2, 3), m]))
 
 
 def test_singular_values_char_poly_oracle():

@@ -3,6 +3,7 @@ import pytest
 from prodbase.partitions import (
     MAX_N,
     Partition,
+    iter_partitions,
     partition_count,
     partitions_of,
     type_count_lower_bound,
@@ -122,3 +123,27 @@ def test_partition_string_roundtrip():
     assert str(p) == "3+2+1"
     with pytest.raises(ValueError):
         Partition.from_string("3+x")
+
+
+def _reverse_lex(n, largest=None):
+    """Reference: the partitions of n with parts at most `largest`, recursively."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _reverse_lex(n - part, part):
+            yield (part, *rest)
+
+
+def test_iter_partitions_matches_the_recursive_order():
+    for n in range(1, 31):
+        assert list(iter_partitions(n)) == list(_reverse_lex(n))
+    assert [p.parts for p in partitions_of(12)] == list(_reverse_lex(12))
+
+
+def test_iter_partitions_streams_and_checks_its_range_at_the_call():
+    stream = iter_partitions(MAX_N)
+    assert next(stream) == (MAX_N,) and next(stream) == (MAX_N - 1, 1)
+    for bad in (0, MAX_N + 1):
+        with pytest.raises(ValueError, match="must be an integer"):
+            iter_partitions(bad)

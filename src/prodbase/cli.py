@@ -1,9 +1,10 @@
 """Command-line front end: verify, classify, generate, family, mub-check, partitions.
 
 Bases travel as JSON files: ``{"dims": [2, n], "vectors": [[[re, im], ...],
-...], "meta": {...}}`` with every number printed to 17 significant digits so
-doubles survive a save/load round trip.  Exit codes are stable: 0 success or
-valid, 1 structurally invalid input basis, 2 usage or parse error.
+...], "meta": {...}}`` with every number written as ``%.17g`` writes it (in bulk for 0
+and 1e-10 <= |x| < 1, by ``%.17g`` itself otherwise), so doubles survive a save/load
+round trip.  Exit codes are stable: 0 success or valid, 1 structurally invalid input
+basis, 2 usage or parse error.
 
 `main(argv)` may be called repeatedly in one process: the argument parser is
 built once, and every call parses its own argv and reads the environment anew.
@@ -33,27 +34,108 @@ from .analyzer import (
 )
 from .generator import FAMILY_TAGS, FamilyParams, TypeSpec, generate_from_type, named_family
 from .numerics import DEFAULT_TOL, Tolerances, as_vector, check_tolerance
-from .partitions import Partition, iter_partitions, partition_count, type_count_lower_bound
+from .partitions import MAX_N, Partition, iter_partitions, partition_count, type_count_lower_bound
 
 __all__ = ["main", "load_basis_file", "save_basis_file", "BasisFileError"]
 
 ENV_TOL_ORTH = "PRODBASE_TOL_ORTH"
+_PART_TEXT = tuple(map(str, range(MAX_N + 1)))  # the text of each part of a partition
 
 
 class BasisFileError(Exception):
     """Raised when a basis file cannot be parsed or violates the schema."""
 
 
+# `_g17` writes b"%.17g" % v for whole arrays.  For 1e-10 <= |v| < 1, v = m * 2**(b - 1075)
+# and k = 16 - floor(log10 |v|) <= 27, the 17 digits d0 ... d16 are the round-half-even of
+# the exact m * 5**k * 2**(b - 1075 + k), whose m * 5**k < 2**116 is held in two uint64 words.
+_POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)
+
+
+def _words(texts, dtype) -> np.ndarray:
+    return np.frombuffer(b"".join(t.ljust(np.dtype(dtype).itemsize, b"\0") for t in texts), dtype)
+
+
+# the text before d1: by sign, by "0." and 0-3 zeros or the exponent form's "d0" or "d0.", by d0
+_FORMS = (b"0.", b"0.0", b"0.00", b"0.000", b"", b".")
+_HEADS = [(s, f, b"%d" % d) for s in (b"", b"-") for f in _FORMS for d in range(10)]
+_HEADS = _words([s + (f + d if f[:1] == b"0" else d + f) for s, f, d in _HEADS], np.uint64)
+_EXPONENTS = _words([b"e-%02d" % e if e > 4 else b"" for e in range(11)], np.uint32)  # by -E
+_ZEROS = _words([b"0", b"-0"], np.uint32)
+_SEPARATORS = _words([b", ", b"], [", b"]],\n    [[", b"]]"], "V12").view(np.uint32).reshape(4, 3)
+# word q is "%04d" % q; word 10**4 + q is the same with its trailing "0"s as NUL
+_QUADS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(48)
+_QUADS = np.concatenate([_QUADS, _QUADS * (np.arange(10**4)[:, None] % [10**4, 1000, 100, 10] > 0)])
+_QUADS = np.ascontiguousarray(_QUADS).view(np.uint32)[:, 0]
+
+
+def _quotient(m, b, E):
+    """2 * m * 2**(b - 1075) * 10**(16 - E) truncated, and whether a nonzero bit was cut."""
+    f = _POW5[16 - E]
+    fh, fl, mh, ml = f >> 32, f & 0xFFFFFFFF, m >> 32, m & 0xFFFFFFFF
+    ll, mid = ml * fl, ml * fh + mh * fl  # mid < 2**64, as mh < 2**21 and fh < 2**31
+    lo = ll + (mid << 32)
+    hi = mh * fh + (mid >> 32) + (lo < ll)
+    t = (1058 + E - b).astype(np.uint64)  # 34 <= t <= 60
+    return (lo >> t) | (hi << (64 - t)), (lo << (64 - t)) != 0
+
+
+def _g17_nonzero(x) -> np.ndarray:
+    """(x.size, 7) uint32 words for nonzero x: row i is b"%.17g" % x[i] as an 8-byte head, the
+    digits d1 ... d16 and a 4-byte exponent, each padded with NULs."""
+    exact = (np.abs(x) >= 1e-10) & (np.abs(x) < 1.0)
+    v = np.where(exact, np.abs(x), 0.5)
+    b, m = v.view(np.int64) >> 52, (v.view(np.uint64) & 2**52 - 1) | 2**52
+    E = np.floor(np.log10(v)).astype(np.int64)
+    q1, cut = _quotient(m, b, E)
+    # log10 can be one off next to a power of ten; the quotient's decade says which way
+    off = (q1 >= 2 * 10**17).astype(np.int64) - (q1 < 2 * 10**16)
+    fix = np.flatnonzero(off)
+    E[fix] += off[fix]
+    q1[fix], cut[fix] = _quotient(m[fix], b[fix], E[fix])
+    q = q1 >> 1
+    # round half to even; D < 10**17: no double in range is within 5e-18 below a power of 10
+    D = q + (q1 & (cut | q) & 1)
+    lead, rest = (D // 10**16).astype(np.int64), D % 10**16
+    top, low = (rest // 10**8).astype(np.uint32), (rest % 10**8).astype(np.uint32)
+    quads = [top // 10**4, top % 10**4, low // 10**4, low % 10**4]
+    trim = True  # whether all later quads are zero, so that this one drops its trailing zeros
+    for j in (3, 2, 1, 0):
+        quads[j], trim = quads[j] + trim * np.uint32(10**4), trim & (quads[j] == 0)
+    form = np.minimum(-1 - E, 4) + ((E < -4) & (rest != 0))
+    out = np.empty((x.size, 7), np.uint32)
+    out[:, :2] = _HEADS[(np.signbit(x) * 6 + form) * 10 + lead].view(np.uint32).reshape(-1, 2)
+    out[:, 2:6] = _QUADS[np.stack(quads, axis=1)]
+    out[:, 6] = _EXPONENTS[-E]
+    for i in np.flatnonzero(~exact):  # |x| >= 1 or < 1e-10: a handful per basis at most
+        text = b"%.17g" % x[i]
+        out[i] = 0
+        out.view(np.uint8)[i, : len(text)] = np.frombuffer(text, np.uint8)
+    return out
+
+
+def _g17(x, out) -> None:
+    """Write b"%.17g" % x[i], NUL-padded, into the seven uint32 words of out[i]."""
+    out[:, 0] = _ZEROS[np.signbit(x).view(np.int8)]
+    nonzero = np.flatnonzero(x)
+    for i in range(0, nonzero.size, 8192):  # small temporaries, which the allocator reuses
+        part = nonzero[i : i + 8192]
+        out[part] = _g17_nonzero(x[part])
+
+
 def save_basis_file(path, basis: ProductBasis) -> None:
-    """Write a basis as deterministic JSON (17 significant digits per number)."""
-    lines = ["{", f'  "dims": [2, {basis.n}],', '  "vectors": [']
-    row_fmt = "    [" + ", ".join(["[%.17g, %.17g]"] * (2 * basis.n)) + "]"
-    rows = basis.vectors.view(np.float64).tolist()
-    lines.append(",\n".join(row_fmt % tuple(row) for row in rows))
-    lines.append("  ],")
-    lines.append(f'  "meta": {json.dumps(basis.meta, sort_keys=True)}')
-    lines.append("}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    """Write a basis as deterministic JSON, each number as `%.17g` writes it: in bulk for
+    0 and for 1e-10 <= |x| < 1, by `%.17g` itself otherwise."""
+    n = basis.n
+    cells = np.zeros((2 * n, 4 * n, 10), np.uint32)  # a number, then the text after it
+    _g17(basis.vectors.view(np.float64).ravel(), cells.reshape(-1, 10)[:, :7])
+    cells[:, 0::2, 7:], cells[:, 1::2, 7:] = _SEPARATORS[0], _SEPARATORS[1]
+    cells[:, -1, 7:], cells[-1, -1, 7:] = _SEPARATORS[2], _SEPARATORS[3]
+    meta = json.dumps(basis.meta, sort_keys=True)
+    with open(path, "wb") as f:
+        f.write(f'{{\n  "dims": [2, {n}],\n  "vectors": [\n    [['.encode("ascii"))
+        f.write(cells.tobytes().translate(None, b"\0"))
+        f.write(f'\n  ],\n  "meta": {meta}\n}}\n'.encode("ascii"))
 
 
 def _holds_bool(node) -> bool:
@@ -296,7 +378,7 @@ def cmd_partitions(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for parts in partitions:
-        print("+".join(map(str, parts)))
+        print("+".join([_PART_TEXT[part] for part in parts]))
     print(
         f"p({args.n})={partition_count(args.n)}, "
         f"type lower bound {type_count_lower_bound(args.n)}"

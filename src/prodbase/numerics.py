@@ -189,8 +189,9 @@ def singular_values_2xn(m) -> tuple[float, float]:
     w -= c2 * u
     gamma = math.sqrt(float(np.vdot(w, w).real))
     sigma1 = math.sqrt(_gram_eigenvalue(n0, abs(c1 + c2), gamma, math.sqrt))
-    if not math.isfinite(sigma1):  # a NaN or inf entry would otherwise give sigma_2 = 0
-        raise ValueError("vector has non-finite entries")
+    if not math.isfinite(sigma1):  # a NaN or inf entry, or squares past the float range
+        s1, s2 = singular_values_2xn_stack(M[None])
+        return (float(s1[0]), float(s2[0]))
     return (sigma1, n0 * gamma / sigma1 if sigma1 > 0.0 else 0.0)
 
 
@@ -217,9 +218,15 @@ def singular_values_2xn_stack(ms) -> tuple[np.ndarray, np.ndarray]:
     beta = np.abs(c1 + c2)
     gamma = np.linalg.norm(w, axis=1)
     sigma1 = np.sqrt(_gram_eigenvalue(n0, beta, gamma, np.sqrt))
-    if not np.isfinite(sigma1).all():  # a NaN or inf entry would otherwise give sigma_2 = 0
-        raise ValueError("vector has non-finite entries")
     sigma2 = np.divide(n0 * gamma, sigma1, out=np.zeros(sigma1.shape), where=sigma1 > 0.0)
+    if not np.isfinite(sigma1).all():  # a NaN or inf entry, or squares past the float range
+        bad = ~np.isfinite(sigma1)
+        if not np.isfinite(M[bad]).all():
+            raise ValueError("vector has non-finite entries")
+        # LAPACK's SVD of each such matrix over its largest modulus keeps a tiny sigma_2
+        scale = np.max(np.abs([M[bad].real, M[bad].imag]), axis=(0, 2, 3))[:, None]
+        sv = np.linalg.svd(M[bad] / scale[:, :, None], compute_uv=False) * scale
+        sigma1[bad], sigma2[bad] = sv[:, 0], sv[:, 1] if sv.shape[1] > 1 else 0.0
     return (sigma1, sigma2)
 
 

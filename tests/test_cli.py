@@ -1,14 +1,21 @@
+import hashlib
 import json
 import math
 import re
+import struct
+from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prodbase.analyzer
 from prodbase.analyzer import ProductBasis
-from prodbase.cli import BasisFileError, _build_parser, load_basis_file, main, save_basis_file
-from prodbase.generator import FamilyParams, TypeSpec, generate_from_type, named_family
+from prodbase.cli import BasisFileError, _build_parser, _g17, load_basis_file, main, save_basis_file
+from prodbase.generator import FAMILY_TAGS, FamilyParams, TypeSpec, generate_from_type, named_family
 from prodbase.partitions import Partition, partition_count, partitions_of
 
 RT2 = math.sqrt(2.0)
@@ -457,3 +464,216 @@ def test_partitions_out_of_range_prints_nothing_on_stdout(capsys):
     assert main(["partitions", "65"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: n must be an integer in [1, 64], got 65\n"
+
+
+def reference_save_basis_file(path, basis):
+    """The writer the file format was defined by: one `%.17g` per number, row by row."""
+    lines = ["{", f'  "dims": [2, {basis.n}],', '  "vectors": [']
+    row_fmt = "    [" + ", ".join(["[%.17g, %.17g]"] * (2 * basis.n)) + "]"
+    rows = basis.vectors.view(np.float64).tolist()
+    lines.append(",\n".join(row_fmt % tuple(row) for row in rows))
+    lines.append("  ],")
+    lines.append(f'  "meta": {json.dumps(basis.meta, sort_keys=True)}')
+    lines.append("}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def assert_g17_is_percent_g(values):
+    x = np.asarray(values, dtype=np.float64)
+    words = np.zeros((x.size, 7), np.uint32)
+    _g17(x, words)
+    got = [bytes(row[row != 0]) for row in words.view(np.uint8)]
+    assert got == [b"%.17g" % v for v in x.tolist()]
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_SIGN = st.sampled_from((1.0, -1.0))
+_DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(_double).filter(math.isfinite),
+    # the range written by integer arithmetic, [2**-34, 1), by bit pattern and by value
+    st.builds(lambda s, bits: s * _double(bits), _SIGN, st.integers(989 << 52, (1023 << 52) - 1)),
+    st.builds(lambda s, v: s * v, _SIGN, st.floats(1e-10, 1.0, exclude_max=True)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_DOUBLES, min_size=1, max_size=40))
+def test_g17_writes_what_percent_g_writes_for_any_finite_double(values):
+    assert_g17_is_percent_g(values)
+
+
+def test_g17_on_zeros_subnormals_ones_and_both_sides_of_each_power_of_ten():
+    values = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.0, 1e-10]
+    values += [np.nextafter(1.0, 0.0), np.nextafter(1e-10, 0.0), 0.5, 2.0**-34, 1e300]
+    for e in range(1, 11):
+        p = 10.0**-e
+        values += [np.nextafter(np.nextafter(p, 0.0), 0.0), np.nextafter(p, 0.0), p]
+        values += [np.nextafter(p, 1.0), np.nextafter(np.nextafter(p, 1.0), 1.0)]
+    assert_g17_is_percent_g(values + [-v for v in values])
+
+
+def test_g17_rounds_exact_17_digit_ties_half_to_even():
+    # (2j + 1) / 2**(k + 1) times 10**k is (2j + 1) * 5**k / 2, a half: a tie at 17 digits
+    # when it lies in [10**16, 10**17)
+    ties = []
+    for k in range(17, 25):
+        odd = range(-(-2 * 10**16 // 5**k) | 1, 2 * 10**17 // 5**k, 2)
+        ties += [math.ldexp(j, -k - 1) for j in (*odd[:24], *odd[-24:])]
+    assert len(set(ties)) > 250
+    for x in ties:
+        assert (Fraction(x) * 10 ** (16 - math.floor(math.log10(x)))).denominator == 2
+    assert_g17_is_percent_g(ties + [-x for x in ties])
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        generate_from_type(TypeSpec(n=16, partition=Partition((8, 4, 2, 1, 1)), seed=3)),
+        generate_from_type(
+            TypeSpec(n=7, partition=Partition((3, 3, 1)), seed=4, subspace_mode="identity-blocks")
+        ),
+        named_family(FamilyParams("d6_B2")),
+        computational_basis(1),
+        # save_basis_file reads n, vectors and meta only, so any numbers can be written
+        SimpleNamespace(
+            n=2,
+            vectors=np.array([[1e300, -0.0, 5e-324, -1e-10, 2.5, 1e-11, 0.1, -1234.5]] * 4).view(complex),
+            meta={"note": "not a basis", "seed": 1},
+        ),
+    ],
+    ids=["random", "identity", "family", "n=1", "arbitrary numbers"],
+)
+def test_save_basis_file_writes_the_reference_writers_bytes(tmp_path, basis):
+    save_basis_file(tmp_path / "new.json", basis)
+    reference_save_basis_file(tmp_path / "reference.json", basis)
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
+# The sha256 of every file that a grid of `generate` and `family` calls writes, taken
+# before the writer computed its digits in bulk.  They pin the bytes of the writer and of
+# the generator: a change to written files shows here and must be stated with the change.
+_GOLDEN_PARTITIONS = {
+    1: "1",
+    2: "1+1",
+    3: "2+1",
+    7: "4+2+1",
+    16: "8+4+2+1+1",
+    64: "32+16+8+4+2+1+1",
+}
+
+
+def _grid_calls(tmp_path):
+    """(label, argv without --out) of every call in the grid."""
+    for n, parts in _GOLDEN_PARTITIONS.items():
+        for subspaces in ("random", "identity"):
+            for mode in ("equal", "independent"):
+                for seed in (0, 11):
+                    flags = ["--seed", str(seed), "--mode", mode, "--subspaces", subspaces]
+                    argv = ["generate", str(n), parts, *flags]
+                    yield " ".join(argv), argv
+    g_file = tmp_path / "g.json"
+    g_file.write_text(_g_file_text())
+    for tag in FAMILY_TAGS:
+        extra = ["--g-file", str(g_file)] if tag == "general_mupb_triple" else []
+        yield f"family {tag}", ["family", tag, *extra]
+    for alpha, beta in (("0.6", "0.8"), ("0.36+0.48j", "-0.8j")):
+        flags = [f"--alpha={alpha}", f"--beta={beta}"]
+        yield " ".join(["family d6_B1", *flags]), ["family", "d6_B1", *flags]
+
+
+def _grid_digests(tmp_path) -> dict:
+    """{label: sha256 hex} of each file written; a call writing k > 1 files labels
+    them `label #i`."""
+    digests = {}
+    for i, (label, argv) in enumerate(_grid_calls(tmp_path)):
+        out_dir = tmp_path / f"call{i}"
+        out_dir.mkdir()
+        assert main([*argv, "--out", str(out_dir / "b.json")]) == 0, label
+        files = sorted(out_dir.iterdir())
+        for k, path in enumerate(files):
+            key = label if len(files) == 1 else f"{label} #{k}"
+            digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+# sha256sum-style lines: digest, two spaces, the call (and file number) that wrote it
+GOLDEN = """\
+edf7bea165dbcb12d53c26685f9d8df510dab26286430bfa979af9659cbfda4b  generate 1 1 --seed 0 --mode equal --subspaces random
+d23f3c812a8b55b9831a6793c2584043c60579a8f574d15799edcd18d1f07817  generate 1 1 --seed 11 --mode equal --subspaces random
+999cd78f2f19c7782d80254f4f5f0765569b75bffce1129375efd7d416ee03d0  generate 1 1 --seed 0 --mode independent --subspaces random
+93fcfa9e0ccce5e2e38d041b1157cbaf28a49f62ad08ec1afc1d1394fdbc6652  generate 1 1 --seed 11 --mode independent --subspaces random
+8f613428f2f0a4120ae8c7f2f3d3194814abd0b39900cf1dda8a59587cf9f78d  generate 1 1 --seed 0 --mode equal --subspaces identity
+e2f9e22dca29598a389255158b4dff110251753849bb1ddc4d888964de1e351e  generate 1 1 --seed 11 --mode equal --subspaces identity
+88bb20041323ec466dc7f80dbb10fd9374d74cf7c0ee9d64a16be756dc35506e  generate 1 1 --seed 0 --mode independent --subspaces identity
+c36a43e1886aecb42733d0cf93f7787bf24829109c0afe7b4627eb9dd13b5036  generate 1 1 --seed 11 --mode independent --subspaces identity
+b5088c08b30c8d8d4273403db9019d8bb6130096dd6ccdae1d09b2ed332d3706  generate 2 1+1 --seed 0 --mode equal --subspaces random
+e4ae509d8918df350ef825d9a2c5edc099ad82618e76c9690aa751d1dad5d0e1  generate 2 1+1 --seed 11 --mode equal --subspaces random
+47b8641e786a1d78dda747805490a7d519aa154feba2c6d06f403b437933c2f3  generate 2 1+1 --seed 0 --mode independent --subspaces random
+5c6283e3cc4534210f0d500e010849aedd7951bb5e2108ef53dee767daf9e43f  generate 2 1+1 --seed 11 --mode independent --subspaces random
+cd250d4d7a0e786eebd96ed4dbc1debb7ed95d103605f371a70623520058f8e9  generate 2 1+1 --seed 0 --mode equal --subspaces identity
+e0fc91ffc6821a3ff725224d01995bdf045513ab97124d90fbbe9af2f6c38d27  generate 2 1+1 --seed 11 --mode equal --subspaces identity
+64724401afb68b27f03661ca7acd310e22449cc042d999e19aacaa190b6b4c6b  generate 2 1+1 --seed 0 --mode independent --subspaces identity
+b053840720c871d4ad69f37675de772af5a992df15c63fa99621615d5b2b6f60  generate 2 1+1 --seed 11 --mode independent --subspaces identity
+d7ca58aab737daf2c90f87940b3279065269e8cb5a3d0917c24a6461682ad7e5  generate 3 2+1 --seed 0 --mode equal --subspaces random
+e9782019ade4f190cb0a24fca096bb556fad5f0e0dc51b955e53db68535358b7  generate 3 2+1 --seed 11 --mode equal --subspaces random
+5c38cdc7d30f9c7ec960a55712b9b8d54edc0a931a9a3ece5da79be332b4c909  generate 3 2+1 --seed 0 --mode independent --subspaces random
+c5a3c779b903ac52261906930d77d520e82452f4ba467727eb7138704f874815  generate 3 2+1 --seed 11 --mode independent --subspaces random
+9e90be5215b4501b3c319fa5065f0dca40d54ddd0a4f6827e09e22e3823429fd  generate 3 2+1 --seed 0 --mode equal --subspaces identity
+e7d358900d787b7ac3064c5cad5bb38acc0593d7bd14d7ba6105ab05853e9482  generate 3 2+1 --seed 11 --mode equal --subspaces identity
+723dd778092040cc8567af541588ece7e50077318396d86732a9177ad7103ef2  generate 3 2+1 --seed 0 --mode independent --subspaces identity
+81d7f96d8822af10611a3022148fd3ff9d55ba50fbd08cd9c02a7c4e58026b2f  generate 3 2+1 --seed 11 --mode independent --subspaces identity
+3d90574f49def27e40975d62dc270592439ecfcbbca8b057f7d1d3aae897e679  generate 7 4+2+1 --seed 0 --mode equal --subspaces random
+952b0097c494fb4a5fe417bbca49d2688950aec9c765689a311bffb64c8ca4e9  generate 7 4+2+1 --seed 11 --mode equal --subspaces random
+4ebe3500489f033ddd1709fa941dd86e9178809d06ee9fb040b4325b125263b1  generate 7 4+2+1 --seed 0 --mode independent --subspaces random
+a92e7fc74321ca0b80f44cbc0aabd0f86e16d40421c1f0d2db54142a8b9defee  generate 7 4+2+1 --seed 11 --mode independent --subspaces random
+7f4a503e4bfe85cf5263eb28856c257506dd5f4a1d78f8cb1b58af27a8005d63  generate 7 4+2+1 --seed 0 --mode equal --subspaces identity
+901a304b2602285f1587dfa5f539616dfe1611eed7434597a39eacd6c8a379d7  generate 7 4+2+1 --seed 11 --mode equal --subspaces identity
+8db2d620e3af52b8e67505421e71d1a4f888e716fdc63be70ae894ac61331511  generate 7 4+2+1 --seed 0 --mode independent --subspaces identity
+fa0189bc9bb4d545fa4602e12922e1bbf2aae0efe69f80375ab2f3cb68954527  generate 7 4+2+1 --seed 11 --mode independent --subspaces identity
+e9663d652428640f4094454ecbeab83e9ebd4975773c5866db2da6496590aebf  generate 16 8+4+2+1+1 --seed 0 --mode equal --subspaces random
+66c83e7756bfb14caccd32bffd08e0b552e5244d8e674acb53cd6f38f854189b  generate 16 8+4+2+1+1 --seed 11 --mode equal --subspaces random
+4d061341ca46e05f024dd5a7c24e02cb6a606ead27cbbd3e38765d1eeb5b9187  generate 16 8+4+2+1+1 --seed 0 --mode independent --subspaces random
+f73579dcd4261669d95df5c27ed92cad6a3e9a73e494c0d1041fcccfeaa1ddd6  generate 16 8+4+2+1+1 --seed 11 --mode independent --subspaces random
+b001a757ed800c53ea214e81d2ed454615849df46eb465f9d0e1f007755252e4  generate 16 8+4+2+1+1 --seed 0 --mode equal --subspaces identity
+d6a1aa2c0b39b97e3630ca4e1f50b2a48b5902f90f615bd9e6917c17d0e00bcd  generate 16 8+4+2+1+1 --seed 11 --mode equal --subspaces identity
+1d60a9fb653e37a8fa2c5ca1d6566fd32c57be6f810abd067159c76ddf6a1dab  generate 16 8+4+2+1+1 --seed 0 --mode independent --subspaces identity
+f12858093035859af9f3aae0100ac14b648c3fa31d3cc29e5ccaee9623f853f7  generate 16 8+4+2+1+1 --seed 11 --mode independent --subspaces identity
+c98dbe3fbc3ed36ef53d0eefcd7351769d8d4345db6923f54a5b9a4b9ba4cfc4  generate 64 32+16+8+4+2+1+1 --seed 0 --mode equal --subspaces random
+4226ddae233447e4d944174ff4bc3919b9a31168003676caa20ac98bf04d082e  generate 64 32+16+8+4+2+1+1 --seed 11 --mode equal --subspaces random
+91d79ae11802fd18267694675e1ad3e3cd590c906aa1d799272cc238b9dbac9b  generate 64 32+16+8+4+2+1+1 --seed 0 --mode independent --subspaces random
+0f0faaa97e8294630296495770b6430800328383685e18d3216cd04c0cc17bca  generate 64 32+16+8+4+2+1+1 --seed 11 --mode independent --subspaces random
+e0560cd56ba70353d0bffe04f50eee220c129a170f0fb122dad20b27014b1ab1  generate 64 32+16+8+4+2+1+1 --seed 0 --mode equal --subspaces identity
+0e4f25964f8fbd7038246e3ec9c861944e874aaebac015bdb90aa436833b2b81  generate 64 32+16+8+4+2+1+1 --seed 11 --mode equal --subspaces identity
+82502a52b2e3e24aad3c3e93ce964e73398ab233fd02c41beb1ecaa1b84ef6b5  generate 64 32+16+8+4+2+1+1 --seed 0 --mode independent --subspaces identity
+6589afbccc99776f5bf5f3bc84a9d7780312a0bc8871e9d2bf8b7bc4f8af03d5  generate 64 32+16+8+4+2+1+1 --seed 11 --mode independent --subspaces identity
+def617e46c56eaeab1e88a36ecc90681d6be51d9ec4569f57c9755e5cda12145  family counterexample_1_4
+326ebeca29f2900eada4faba5e0b170c305363a6cbc16195e593890fc2bad7e6  family d4_B0
+5809fa4a26d5d8c8f86f7cc3e03c01b4408d1401279ca9428d5acbc317da2f4d  family d4_B1
+0d6446f967cfa62f18d22cae8b3e5f2139f1c92fa10b6644c1835555ddb714a4  family d4_B2
+3b774a8d8ef4b4de101264af4f2a2dff393bb88c2e1a25d3551ca2ff75ebb641  family d4_mupb_triple #0
+f5465df3c17e88c265ccc800d136e7fc8b4e574c06b809ee95b7ae0db70cace7  family d4_mupb_triple #1
+03aa616572e3f58fac84fc1f5e493159b3c6bfc8785ef889849e6a1a60498b9e  family d4_mupb_triple #2
+b155c684c985a0ea579afa9f914fd6d708502817ce99e62657041ebb2bb19786  family d6_B0
+8948a6026044a4e4b967492d296641e237061159614eb2df052f146c38d77510  family d6_B1
+944c9aeb5eb7595f5605f0c18b98f560205bbf59760855e0dea3ee20f9458b17  family d6_B2
+5474af4145a6bb6f03140ede775b32ac7c2263e88ba0b43d70a5c9f23b5b63a7  family d6_B3
+9ef76ce38be016eb503b505354bd306422e822caae8532e8be05d8b6e6ff0983  family d6_mub_triple #0
+6f3fa8ec8841917a2dc3d3dc8d163eedb8b11a3ff8d5a19d84bde7ad73601c54  family d6_mub_triple #1
+c8083cb32fe83f261bf7915e1b026961ad58d970f88ac69c8db8d9e1df05a683  family d6_mub_triple #2
+0d743619e252510ed62c1ab8c2c026bc3be43b6ec170053d2e1109aa42781741  family general_mupb_triple #0
+dbb1527d8a5de07a918d35090e39cc298aa3dd02cafb1361b28534c37256a4e2  family general_mupb_triple #1
+68ec6ece2e63a6f8848ab79b25fd630e287c6e7a565134ff76ecbd05c3241938  family general_mupb_triple #2
+dcda8624741d14cea925e1e97652fbfa3ec8a48bfc59b8f70b6ea9b84e55f664  family d6_B1 --alpha=0.6 --beta=0.8
+cb3272854a3d5b4cade87888e82654a82ab66be23245316d17f2bf45b6438791  family d6_B1 --alpha=0.36+0.48j --beta=-0.8j
+"""
+
+
+def test_written_files_match_golden_digests(tmp_path, capsys):
+    want = {label: digest for digest, label in (ln.split("  ", 1) for ln in GOLDEN.splitlines())}
+    got = _grid_digests(tmp_path)
+    assert got.keys() == want.keys()
+    assert [label for label in want if got[label] != want[label]] == []

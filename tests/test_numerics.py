@@ -145,6 +145,37 @@ def test_singular_values_reject_non_finite_entries(bad, row):
             singular_values_2xn_stack(np.stack([np.eye(2, 3), m]))
 
 
+def _both_kernels(m):
+    """(sigma_1, sigma_2) of `m` from the scalar kernel and from the stack kernel."""
+    s1, s2 = singular_values_2xn_stack(np.asarray(m, dtype=complex)[None])
+    return singular_values_2xn(m), (float(s1[0]), float(s2[0]))
+
+
+def test_singular_values_of_entries_whose_squares_overflow():
+    # a finite entry above ~1e154 used to overflow the squared row norms and raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for got in _both_kernels([[1e200, 0.0], [0.0, 1.0]]):
+            assert got == pytest.approx((1e200, 1.0), rel=1e-14)
+        rng = _rng(7)
+        row = np.outer(_random_unit(rng, 2), _random_unit(rng, 5)) * 1e300
+        for s1, s2 in _both_kernels(row):
+            assert s1 == pytest.approx(1e300, rel=1e-14) and s2 <= 1e-14 * s1
+        for bad in (math.nan, math.inf):
+            for kernel in (singular_values_2xn, lambda m: singular_values_2xn_stack([m])):
+                with pytest.raises(ValueError, match="non-finite"):
+                    kernel(np.array([[1e200, bad], [0.0, 1.0]]))
+
+
+def test_singular_values_stack_rescales_only_the_overflowing_matrices():
+    ms = np.array([[[1e200, 0.0], [0.0, 1.0]], [[3.0, 0.0], [0.0, 2.0]], [[0.0, 0.0], [0.0, 0.0]]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1, s2 = singular_values_2xn_stack(ms)
+    assert s1.tolist() == pytest.approx([1e200, 3.0, 0.0], rel=1e-14)
+    # the finite ones keep the closed form's values bit for bit
+    assert s1[1:].tolist() == [3.0, 0.0]
+    assert s2.tolist() == pytest.approx([1.0, 2.0, 0.0], rel=1e-14)
+
+
 def test_singular_values_char_poly_oracle():
     # independent oracle: roots of the characteristic polynomial of the
     # 2x2 Gram, computed via numpy's companion-matrix solver

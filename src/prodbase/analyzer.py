@@ -61,7 +61,8 @@ class ProductBasis:
             raise ValueError(f"expected {2 * n} vectors of dim {2 * n}, got shape {rows.shape}")
         if not np.isfinite(rows).all():
             raise ValueError("vector has non-finite entries")
-        nrm2 = np.sum(np.abs(rows) ** 2, axis=1)
+        with np.errstate(over="ignore"):  # an entry above ~1e154 gives inf, not a warning
+            nrm2 = np.sum(np.abs(rows) ** 2, axis=1)
         off = np.flatnonzero(np.abs(nrm2 - 1.0) > tol.eps_unit)
         if off.size:
             k = int(off[0])

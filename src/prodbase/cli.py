@@ -2,9 +2,12 @@
 
 Bases travel as JSON files: ``{"dims": [2, n], "vectors": [[[re, im], ...],
 ...], "meta": {...}}`` with every number written as ``%.17g`` writes it (in bulk for 0
-and 1e-10 <= |x| < 1, by ``%.17g`` itself otherwise), so doubles survive a save/load
-round trip.  Exit codes are stable: 0 success or valid, 1 structurally invalid input
-basis, 2 usage or parse error.
+and 1e-10 <= |x| < 1, by ``%.17g`` itself otherwise), so every double but -0.0 survives
+a save/load round trip; -0.0 is written as the JSON integer -0, which loads as +0.0.
+Numbers are read with the bits that json.loads and complex(re, im) give them: a grid of
+at least _GRID_MIN bytes by the vectorized `_number_grid`, anything else by json.
+Exit codes are stable: 0 success or valid, 1 structurally invalid input basis, 2 usage
+or parse error.
 
 `main(argv)` may be called repeatedly in one process: the argument parser is
 built once, and every call parses its own argv and reads the environment anew.
@@ -15,8 +18,12 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import itertools
 import json
+import json.decoder
+import json.scanner
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -138,6 +145,232 @@ def save_basis_file(path, basis: ProductBasis) -> None:
         f.write(f'\n  ],\n  "meta": {meta}\n}}\n'.encode("ascii"))
 
 
+# `_number_grid` reads a JSON array of rows of [re, im] numbers into a float64 (rows, cols, 2)
+# array with the bits that json.loads and complex(re, im) give, working on the text in 8-byte
+# words.  Each token must have the JSON number grammar.  A token of at most 19 significant
+# digits w and a power of ten |q| <= 64 (its value w * 10**q) is rounded by Clinger's fast
+# path when w <= 2**53 and |q| <= 22, and otherwise from an estimate made of two doubles that
+# lies within 2**-103 of the value.  Other tokens, and the rare estimates too near a midpoint
+# between two doubles to round with certainty, go through float() one at a time.
+# json's C scanner takes a time about proportional to the text, the kernel a fixed time (as
+# much as json takes for about 20 KB) plus a time a number; json is as fast on shorter grids
+_GRID_MIN = 24 * 1024  # bytes
+_PAD = 32  # blank bytes around the text, so that every word read lies inside the buffer
+_GRID_OPEN = re.compile(r"\[[ \t\n\r]*\[[ \t\n\r]*\[")
+_BLANK = json.decoder.WHITESPACE.match
+_SCAN = json.JSONDecoder().scan_once
+# words with every byte set to one value
+_ZERO_BYTES, _SIXES, _NIBBLES, _HIGHS, _TOPS, _SEVENS, _ABOVE_BLANK, _CASE, _ES = (
+    np.uint64(0x0101010101010101 * b) for b in (48, 6, 15, 240, 128, 127, 95, 32, 101)
+)
+# _LOW[k + 32]: the low k bytes of a word, k clipped to [0, 8]; and of each of three words
+_LOW = np.array([(1 << 8 * min(max(k - 32, 0), 8)) - 1 for k in range(72)], np.uint64)
+_OFFSETS = np.array([[32], [24], [16]])
+_TENS = np.array([10**k for k in range(20)], np.uint64)
+_EXACT = np.array([float(10**k) for k in range(23)])  # the powers of ten that are doubles
+# 10**q for |q| <= _Q as a sum hi + lo of doubles, each the nearest double to what it stands
+# for; hi also split into two halves of 26 bits, whose products with the halves of another
+# double are exact (Dekker)
+_Q = 64
+_SCALE_HI = np.array([float(10**q) if q >= 0 else 1 / 10**-q for q in range(-_Q, _Q + 1)])
+_SCALE_LO = np.array([
+    (10**q * d - m) / d if q >= 0 else (d - m * 10**-q) / (10**-q * d)
+    for q, (m, d) in zip(range(-_Q, _Q + 1), map(float.as_integer_ratio, _SCALE_HI.tolist()))
+])
+_SPLIT = 134217729.0  # 2**27 + 1
+_SCALE_TOP = _SCALE_HI * _SPLIT - (_SCALE_HI * _SPLIT - _SCALE_HI)
+_SCALE_BOT = _SCALE_HI - _SCALE_TOP
+
+
+def _byte_index(bits) -> np.ndarray:
+    """Index of the byte that holds the highest set bit of each word whose set bits are bit 7
+    of some bytes (a float64 holds the top bit of such a word exactly)."""
+    return ((bits.astype(np.float64).view(np.int64) >> 52) - 1030) >> 3
+
+
+def _digits(words, first):
+    """The value of the ASCII digits in bytes first ... 23 of each column of three words, and
+    whether there is at least one, all are digits and the value is below 10**19."""
+    pad = _LOW[np.minimum(np.maximum(first, 0), 24) + _OFFSETS]
+    words = (words & ~pad) | (_ZERO_BYTES & pad)
+    bad = (words & _HIGHS ^ _ZERO_BYTES) | ((words + _SIXES) & _HIGHS ^ _ZERO_BYTES)
+    # eight digits to a word, the first in the low byte, summed in pairs, fours and eights
+    words = (words & _NIBBLES) * np.uint64(2561) >> np.uint64(8)
+    words = (words & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(6553601) >> np.uint64(16)
+    words = (words & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(42949672960001) >> np.uint64(32)
+    value = (words[0] * np.uint64(10**8) + words[1]) * np.uint64(10**8) + words[2]
+    ok = ~bad.any(axis=0) & (words[0] < 1000) & (first >= 0) & (first < 24)
+    return value, ok
+
+
+def _mantissa(words, head, ms, end):
+    """Value, number of fraction digits and grammar check of each mantissa text[ms:end] of the
+    form d.d+ or d+ without a leading zero; `words` holds its last 24 bytes and `head` its
+    first eight."""
+    one = (head & np.uint64(0xFF)) - np.uint64(48)  # the digit before a point
+    dot = (head & np.uint64(0xFF00)) == np.uint64(0x2E00)
+    frac = (end - ms - 2) * dot
+    w, ok = _digits(words, ms + 2 * dot - end + 24)
+    ok &= (one <= 9) & (dot | (end - ms == 1) | (one != 0)) & ((one == 0) | (frac <= 18))
+    return w + one * _TENS[np.minimum(frac, 19)] * dot, frac, ok
+
+
+def _scaled(w, q):
+    """w * 10**q rounded to the nearest double, and whether that rounding is certain, for
+    w < 10**19 and |q| <= _Q."""
+    wh = w.astype(np.float64)
+    wl = (w - wh.astype(np.uint64)).view(np.int64).astype(np.float64)
+    c = wh * _SPLIT
+    top = c - (c - wh)
+    bot = wh - top
+    k = q + _Q
+    ph, pt, pb = _SCALE_HI[k], _SCALE_TOP[k], _SCALE_BOT[k]
+    p = wh * ph
+    err = (((top * pt - p) + top * pb + bot * pt) + bot * pb) + (wh * _SCALE_LO[k] + wl * ph)
+    z = p + err
+    r = err - (z - p)  # z + r == p + err exactly, and |r| is at most half a gap next to z
+    # w * 10**q lies within 2**-103 of z + r, so it rounds to z unless r comes that near to
+    # the midpoint between z and a neighbour
+    gap = z - (z.view(np.int64) - 1).view(np.float64)  # the smaller of z's two gaps
+    return z, (r == 0) | (gap - 2.0 * np.abs(r) > 2.0**-90 * z)
+
+
+def _numbers(V8, V24, lo, hi):
+    """The values of the tokens in the slots buf[lo:hi], whether each was read in bulk, and
+    each token's span; None when a slot holds no token or more than five blanks before it."""
+    head = V8[lo]
+    opening = (head + _ABOVE_BLANK) & _TOPS  # the bytes above " "
+    lead = _byte_index(opening & (~opening + np.uint64(1)))
+    window = V24[hi - 24].view(np.uint64).reshape(-1, 3)
+    closing = (window[:, 2] + _ABOVE_BLANK) & _TOPS
+    trail = 7 - _byte_index(closing)
+    if not (opening.all() and closing.all() and (lead <= 5).all()):
+        return None
+    s, t = lo + lead, hi - trail
+    moved = np.flatnonzero(trail)
+    window[moved] = V24[t[moved] - 24].view(np.uint64).reshape(-1, 3)
+    window = np.ascontiguousarray(window.T)  # the last 24 bytes of each token, in 3 rows
+    head >>= (8 * lead).astype(np.uint64)
+    neg = (head & np.uint64(0xFF)) == 45
+    head >>= (8 * neg).astype(np.uint64)
+    ms = s + neg
+    w, frac, ok = _mantissa(window, head, ms, t)
+    q = -frac
+    # an exponent: an e or E in the last eight bytes of the token
+    e_bits = (window[2] | _CASE) ^ _ES
+    e_bits = ~(((e_bits & _SEVENS) + _SEVENS) | e_bits | _SEVENS)
+    e_bits &= ~_LOW[40 - np.minimum(t - s, 8)]
+    exponent = np.flatnonzero(e_bits)
+    if exponent.size:
+        end, last = t[exponent], window[2, exponent]
+        pe = end - 8 + _byte_index(e_bits[exponent])
+        after = (last >> (8 * np.minimum(pe - end + 9, 7)).astype(np.uint64)) & np.uint64(0xFF)
+        x0 = pe + 1 + ((after == 43) | (after == 45))  # the exponent's first digit
+        value, ok_x = _digits(np.broadcast_to(last, (3, last.size)), x0 - end + 24)
+        words = V24[pe - 24].view(np.uint64).reshape(-1, 3).T
+        w[exponent], frac_x, ok_w = _mantissa(words, head[exponent], ms[exponent], pe)
+        ok[exponent] = ok_x & ok_w
+        q[exponent] = value.astype(np.int64) * np.where(after == 45, -1, 1) - frac_x
+    ok &= (q >= -_Q) & (q <= _Q)
+    # Clinger's fast path: w and 10**|q| are doubles, so one product or quotient rounds right
+    fast = (w <= 2**53) & (q >= -22) & (q <= 22)
+    z = w.astype(np.float64) * _EXACT[np.clip(q, 0, 22)] / _EXACT[np.clip(-q, 0, 22)]
+    slow = np.flatnonzero(ok & ~fast)
+    if slow.size:
+        z[slow], ok[slow] = _scaled(w[slow], q[slow])
+    # json reads an integer as an int, whose -0 is 0
+    integer = ((head & np.uint64(0xFF00)) != np.uint64(0x2E00)) & (e_bits == 0)
+    z *= 1.0 - 2.0 * (neg & ((w != 0) | ~integer))
+    return z, ok, s, t
+
+
+def _number_grid(buf, start):
+    """The regular JSON array of rows of [re, im] number pairs at buf[start:], if its text
+    takes at least _GRID_MIN bytes, as a float64 (rows, cols, 2) array, and the index just
+    past it; None for any other text.  `buf` is ASCII with _PAD blank bytes at either end."""
+    text = np.frombuffer(buf, np.uint8, offset=start)
+    pos = np.flatnonzero((text == 44) | (text == 91) | (text == 93))  # , [ ]
+    skeleton = text[pos].tobytes()
+    size = skeleton.find(b"]]]") + 3
+    cols = skeleton.find(b"]]") // 4
+    rows = (size - 1) // (4 * cols + 2) if cols > 0 else 0
+    end = int(pos[size - 1]) + 1 if rows else 0
+    if end < _GRID_MIN:
+        return None
+    row = b"[" + b"[,]," * (cols - 1) + b"[,]]"
+    if skeleton[:size] != b"[" + (row + b",") * (rows - 1) + row + b"]":
+        return None
+    pos += start
+    V8 = np.ndarray((len(buf) - 7,), np.uint64, buf, 0, (1,))  # the word at each byte
+    V24 = np.ndarray((len(buf) - 23,), "V24", buf, 0, (1,))
+    out = np.empty(2 * rows * cols)
+    width = 0
+    for i in range(0, out.size, 8192):  # small temporaries, which the allocator reuses
+        k = np.arange(i, min(i + 8192, out.size))
+        # number k lies between skeleton bytes j and j + 1
+        j = 2 + (4 * cols + 2) * (k // (2 * cols)) + 4 * (k % (2 * cols) // 2) + k % 2
+        got = _numbers(V8, V24, pos[j] + 1, pos[j + 1])
+        if got is None:
+            return None
+        out[k], ok, s, t = got
+        width += int((t - s).sum())
+        for m in np.flatnonzero(~ok):
+            token = buf[s[m] : t[m]].decode("ascii")
+            match = json.scanner.NUMBER_RE.fullmatch(token)
+            if match is None:
+                return None
+            try:
+                out[i + m] = float(token if match.group(2) or match.group(3) else int(token))
+            except OverflowError:
+                return None
+    # every other byte must be JSON whitespace
+    text = text[:end]
+    blank = end - size - width
+    if blank != np.count_nonzero(text == 32) + np.count_nonzero(text == 10):
+        if blank != np.count_nonzero((text == 32) | (text == 10) | (text == 9) | (text == 13)):
+            return None
+    return out.reshape(rows, cols, 2), start + end
+
+
+def _members(text, buf):
+    """The top-level object of `text`, each member value other than "meta" that is a grid for
+    `_number_grid` read by it, and the parts of `text` outside those grids; None when `text`
+    is no such object or not valid JSON."""
+    i = _BLANK(text, 0).end()
+    if text[i : i + 1] != "{":
+        return None
+    data, outside, done = {}, [], 0
+    i = _BLANK(text, i + 1).end()
+    try:
+        while text[i : i + 1] == '"':
+            key, i = json.decoder.scanstring(text, i + 1)
+            i = _BLANK(text, i).end()
+            if text[i : i + 1] != ":":
+                return None
+            i = _BLANK(text, i + 1).end()
+            grid = None
+            if key != "meta" and _GRID_OPEN.match(text, i):
+                grid = _number_grid(buf, i + _PAD)
+            if grid is None:
+                data[key], i = _SCAN(text, i)
+            else:
+                data[key], end = grid[0], grid[1] - _PAD
+                outside.append(text[done:i])
+                i = done = end
+            i = _BLANK(text, i).end()
+            if text[i : i + 1] == "}":
+                if _BLANK(text, i + 1).end() == len(text):
+                    outside.append(text[done:])
+                    return data, outside
+                return None
+            if text[i : i + 1] != ",":
+                return None
+            i = _BLANK(text, i + 1).end()
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    return None
+
+
 def _holds_bool(node) -> bool:
     """Whether a JSON true or false, which Python takes for 1 or 0, is in `node`
     outside a "meta" object."""
@@ -147,13 +380,23 @@ def _holds_bool(node) -> bool:
 
 
 def _read_json(path):
-    """The content of a JSON file of numbers; BasisFileError when the file cannot be
-    read, is not UTF-8 JSON, nests too deeply, or has a true or false outside "meta"."""
+    """The content of a JSON file of numbers, each large grid of numbers in an object as a
+    float64 (rows, cols, 2) array; BasisFileError when the file cannot be read, is not UTF-8
+    JSON, nests too deeply, or has a true or false outside "meta"."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-        data = json.loads(text)
-        # the text test spares an n = 64 file the scan of its 16,384 numbers
-        bools = ("true" in text or "false" in text) and _holds_bool(data)
+        raw = Path(path).read_bytes()
+        buf = b"".join((b" " * _PAD, raw, b" " * _PAD))
+        del raw  # a large file is held twice at most: as buf and as text
+        text = str(memoryview(buf)[_PAD:-_PAD], "utf-8")
+        got = None
+        if len(text) >= _GRID_MIN and text.isascii() and "\r" not in text:
+            got = _members(text, buf)
+        if got is None:  # json.loads, as read_text gives the text
+            data = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
+            got = data, [text]
+        data, outside = got
+        # the text test spares a file of a few numbers the scan of them all
+        bools = any("true" in part or "false" in part for part in outside) and _holds_bool(data)
     except OSError as exc:
         raise BasisFileError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep
@@ -161,6 +404,32 @@ def _read_json(path):
     if bools:
         raise BasisFileError(f"{path}: true and false are not numbers")
     return data
+
+
+def _complex_rows(raw, width: int, where):
+    """The rows of `raw`, a float grid from `_read_json` or a list of rows of [re, im] pairs,
+    as complex rows; BasisFileError names the first row whose length is not `width` or that
+    holds an entry other than a pair of numbers or a non-finite one."""
+    if isinstance(raw, np.ndarray):
+        rows = raw.view(np.complex128)[..., 0]
+        if rows.shape[1] != width:
+            raise BasisFileError(f"{where}: vector 0 must have {width} entries")
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    else:
+        rows, bad = [], []
+        for k, row in enumerate(raw):
+            if not isinstance(row, list) or len(row) != width:
+                raise BasisFileError(f"{where}: vector {k} must have {width} entries")
+            try:
+                rows.append([complex(re, im) for re, im in row])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise BasisFileError(f"{where}: vector {k} has a malformed entry: {exc}") from exc
+            if not all(map(cmath.isfinite, rows[-1])):
+                bad = [k]
+                break
+    if len(bad):
+        raise BasisFileError(f"{where}: vector {bad[0]} has non-finite entries")
+    return rows
 
 
 def load_basis_file(path, tol: Tolerances = DEFAULT_TOL) -> ProductBasis:
@@ -179,18 +448,9 @@ def load_basis_file(path, tol: Tolerances = DEFAULT_TOL) -> ProductBasis:
         raise BasisFileError(f"{path}: dims must be [2, n] with positive integer n")
     n = dims[1]
     raw = data.get("vectors")
-    if not isinstance(raw, list) or len(raw) != 2 * n:
+    if not isinstance(raw, (list, np.ndarray)) or len(raw) != 2 * n:
         raise BasisFileError(f"{path}: expected {2 * n} vectors")
-    vectors = []
-    for k, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != 2 * n:
-            raise BasisFileError(f"{path}: vector {k} must have {2 * n} entries")
-        try:
-            vectors.append([complex(re, im) for re, im in row])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise BasisFileError(f"{path}: vector {k} has a malformed entry: {exc}") from exc
-        if not all(map(cmath.isfinite, vectors[-1])):
-            raise BasisFileError(f"{path}: vector {k} has non-finite entries")
+    vectors = _complex_rows(raw, 2 * n, path)
     meta = data.get("meta") or {}
     if not isinstance(meta, dict):
         raise BasisFileError(f"{path}: meta must be an object")
@@ -329,14 +589,13 @@ def cmd_family(args) -> int:
         if not isinstance(raw, dict):
             print("error: g-bases file must hold a JSON object", file=sys.stderr)
             return 2
-        try:
-            params_kwargs["g_bases"] = {
-                key: [np.array([complex(re, im) for re, im in vec]) for vec in fam]
-                for key, fam in raw.items()
-            }
-        except (TypeError, ValueError, OverflowError) as exc:
-            print(f"error: g-bases file has a malformed entry: {exc}", file=sys.stderr)
-            return 2
+        g_bases = {}
+        for key, fam in raw.items():  # each a basis of C^n: n vectors of n entries
+            if not isinstance(fam, (list, np.ndarray)):
+                print(f"error: g-bases entry {key!r} is not a list of vectors", file=sys.stderr)
+                return 2
+            g_bases[key] = _complex_rows(fam, len(fam), f"{args.g_file}: {key}")
+        params_kwargs["g_bases"] = g_bases
     try:
         result = named_family(FamilyParams(family=args.tag, **params_kwargs))
     except ValueError as exc:
@@ -377,8 +636,9 @@ def cmd_partitions(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for parts in partitions:
-        print("+".join([_PART_TEXT[part] for part in parts]))
+    lines = ("+".join([_PART_TEXT[part] for part in parts]) for parts in partitions)
+    while chunk := list(itertools.islice(lines, 4096)):  # few writes, in bounded memory
+        sys.stdout.write("\n".join(chunk) + "\n")
     print(
         f"p({args.n})={partition_count(args.n)}, "
         f"type lower bound {type_count_lower_bound(args.n)}"

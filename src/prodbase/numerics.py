@@ -118,7 +118,9 @@ def gram_residual(vectors) -> float:
     rows = np.asarray(vectors, dtype=np.complex128)
     if rows.ndim != 2 or rows.size == 0 or not np.isfinite(rows).all():
         raise ValueError(f"expected a (k, d) array of finite vectors, got shape {rows.shape}")
-    return float(np.max(np.abs(rows.conj() @ rows.T - np.eye(len(rows)))))
+    with np.errstate(over="ignore", invalid="ignore"):  # entries above ~1e154
+        residual = float(np.max(np.abs(rows.conj() @ rows.T - np.eye(len(rows)))))
+    return residual if residual == residual else math.inf  # inf - inf is no pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,6 +182,9 @@ def singular_values_2xn(m) -> tuple[float, float]:
     if M.ndim != 2 or M.shape[0] != 2:
         raise ValueError(f"expected a matrix with 2 rows, got shape {M.shape}")
     p, s = float(np.vdot(M[0], M[0]).real), float(np.vdot(M[1], M[1]).real)
+    if not p + s < 2.0**500:  # a NaN or inf entry, or squares of squares past the float range
+        s1, s2 = singular_values_2xn_stack(M[None])
+        return (float(s1[0]), float(s2[0]))
     r0, r1 = (M[1], M[0]) if s > p else (M[0], M[1])
     n0 = math.sqrt(max(p, s))
     u = r0 / (n0 or 1.0)
@@ -189,9 +194,6 @@ def singular_values_2xn(m) -> tuple[float, float]:
     w -= c2 * u
     gamma = math.sqrt(float(np.vdot(w, w).real))
     sigma1 = math.sqrt(_gram_eigenvalue(n0, abs(c1 + c2), gamma, math.sqrt))
-    if not math.isfinite(sigma1):  # a NaN or inf entry, or squares past the float range
-        s1, s2 = singular_values_2xn_stack(M[None])
-        return (float(s1[0]), float(s2[0]))
     return (sigma1, n0 * gamma / sigma1 if sigma1 > 0.0 else 0.0)
 
 
@@ -205,20 +207,22 @@ def singular_values_2xn_stack(ms) -> tuple[np.ndarray, np.ndarray]:
     ~sqrt(machine eps); this form keeps sigma_2 accurate down to ~1e-16.
     """
     M = np.asarray(ms, dtype=np.complex128)
-    norms = np.linalg.norm(M, axis=2)
-    # the longer row goes first, so the cross term is taken against it
-    M = np.where((norms[:, 1] > norms[:, 0])[:, None, None], M[:, ::-1], M)
-    n0 = norms.max(axis=1)
-    r0, r1 = M[:, 0], M[:, 1]
-    u = r0 / np.where(n0 > 0.0, n0, 1.0)[:, None]
-    c1 = (u.conj() * r1).sum(axis=1)
-    w = r1 - c1[:, None] * u
-    c2 = (u.conj() * w).sum(axis=1)
-    w = w - c2[:, None] * u
-    beta = np.abs(c1 + c2)
-    gamma = np.linalg.norm(w, axis=1)
-    sigma1 = np.sqrt(_gram_eigenvalue(n0, beta, gamma, np.sqrt))
-    sigma2 = np.divide(n0 * gamma, sigma1, out=np.zeros(sigma1.shape), where=sigma1 > 0.0)
+    # squares past the float range come out inf or NaN, and such matrices are rescued below
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(M, axis=2)
+        # the longer row goes first, so the cross term is taken against it
+        M = np.where((norms[:, 1] > norms[:, 0])[:, None, None], M[:, ::-1], M)
+        n0 = norms.max(axis=1)
+        r0, r1 = M[:, 0], M[:, 1]
+        u = r0 / np.where(n0 > 0.0, n0, 1.0)[:, None]
+        c1 = (u.conj() * r1).sum(axis=1)
+        w = r1 - c1[:, None] * u
+        c2 = (u.conj() * w).sum(axis=1)
+        w = w - c2[:, None] * u
+        beta = np.abs(c1 + c2)
+        gamma = np.linalg.norm(w, axis=1)
+        sigma1 = np.sqrt(_gram_eigenvalue(n0, beta, gamma, np.sqrt))
+        sigma2 = np.divide(n0 * gamma, sigma1, out=np.zeros(sigma1.shape), where=sigma1 > 0.0)
     if not np.isfinite(sigma1).all():  # a NaN or inf entry, or squares past the float range
         bad = ~np.isfinite(sigma1)
         if not np.isfinite(M[bad]).all():

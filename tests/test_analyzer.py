@@ -294,6 +294,9 @@ def test_product_basis_validation():
         ProductBasis(2, [eye[:, 0]])
     with pytest.raises(ValueError, match="not-normalized"):
         ProductBasis(2, [2 * eye[:, 0], eye[:, 1], eye[:, 2], eye[:, 3]])
+    # an entry whose square overflows is not unit either, and raises no numpy warning
+    with pytest.raises(ValueError, match="vector 0 has <v|v> = inf"):
+        ProductBasis(2, [1e200 * eye[:, 0], eye[:, 1], eye[:, 2], eye[:, 3]])
 
 
 def test_product_basis_vectors_are_one_read_only_array():

@@ -152,14 +152,16 @@ def _both_kernels(m):
 
 
 def test_singular_values_of_entries_whose_squares_overflow():
-    # a finite entry above ~1e154 used to overflow the squared row norms and raise
+    # a finite entry above ~1e154 used to overflow the squared row norms and raise; one
+    # above ~1e77 overflowed the squares of squares in the one-row kernel
+    for big in (1e100, 1e200):
+        for got in _both_kernels([[big, 0.0], [0.0, 1.0]]):
+            assert got == pytest.approx((big, 1.0), rel=1e-14)
+    rng = _rng(7)
+    row = np.outer(_random_unit(rng, 2), _random_unit(rng, 5)) * 1e300
+    for s1, s2 in _both_kernels(row):
+        assert s1 == pytest.approx(1e300, rel=1e-14) and s2 <= 1e-14 * s1
     with np.errstate(over="ignore", invalid="ignore"):
-        for got in _both_kernels([[1e200, 0.0], [0.0, 1.0]]):
-            assert got == pytest.approx((1e200, 1.0), rel=1e-14)
-        rng = _rng(7)
-        row = np.outer(_random_unit(rng, 2), _random_unit(rng, 5)) * 1e300
-        for s1, s2 in _both_kernels(row):
-            assert s1 == pytest.approx(1e300, rel=1e-14) and s2 <= 1e-14 * s1
         for bad in (math.nan, math.inf):
             for kernel in (singular_values_2xn, lambda m: singular_values_2xn_stack([m])):
                 with pytest.raises(ValueError, match="non-finite"):
@@ -168,8 +170,7 @@ def test_singular_values_of_entries_whose_squares_overflow():
 
 def test_singular_values_stack_rescales_only_the_overflowing_matrices():
     ms = np.array([[[1e200, 0.0], [0.0, 1.0]], [[3.0, 0.0], [0.0, 2.0]], [[0.0, 0.0], [0.0, 0.0]]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        s1, s2 = singular_values_2xn_stack(ms)
+    s1, s2 = singular_values_2xn_stack(ms)
     assert s1.tolist() == pytest.approx([1e200, 3.0, 0.0], rel=1e-14)
     # the finite ones keep the closed form's values bit for bit
     assert s1[1:].tolist() == [3.0, 0.0]
@@ -273,6 +274,9 @@ def test_gram_residual_takes_an_array_or_its_rows():
         for arg in (bad, list(bad)):
             with pytest.raises(ValueError):
                 gram_residual(arg)
+    # finite entries whose products overflow: inf - inf used to give a NaN residual, which
+    # passes every "residual > tolerance" test
+    assert gram_residual([[1e300 + 1e300j, 1e300 - 1e300j], [1.0, 1.0]]) == math.inf
 
 
 def test_canonical_phase_ties_within_roundoff_go_to_the_first_entry():

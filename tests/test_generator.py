@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import time
@@ -184,6 +185,35 @@ def test_d6_B1_degenerate_parameters():
 def test_unknown_family_tag():
     with pytest.raises(ValueError, match="unknown family"):
         named_family(FamilyParams("no_such_family"))
+
+
+# Non-default qubit rays; a family of k rays takes the last k.  Their partners hold
+# signed zeros, so the digests pin how each partner ray is computed.
+QUBIT_STATES = ((0.6, 0.8j), (-0.28j, 0.96), (0.0, -1j))
+
+# sha256 of `vectors.tobytes()` of each family built on QUBIT_STATES, taken before the
+# families were written as a table.
+QUBIT_STATES_DIGESTS = {
+    "d4_B0": (2, "5ec43f1a92c1d78d07454e485f0a335cef4c7ff1a07bde4e62bd385af81df2e6"),
+    "d4_B1": (1, "01c0d8e7460db50e8c70f9ad2dadb4a7701227d6f00e1e8e9a24b0d01fb063c7"),
+    "d4_B2": (1, "1e230c66ca9d3b4403910433b65e8f71565c6a1bb58daaefd1ab00202e3b8224"),
+    "d6_B0": (3, "62a5ad5a5d88257d2c55c13e93b8ffb6dbd94d2d7ff532105b1443f46441bc10"),
+    "d6_B1": (2, "9eadc67f34db07bf8d7028729db4ac04988a8182028c452e361f3974ef2f6698"),
+    "d6_B2": (1, "505c614982c488dd0bd0465365791902dbe6703c51c612cf8a0e48e17c1cd019"),
+    "d6_B3": (1, "d6cfb93a2e060b6f35bdd9fdb14408bda135a4e084b7419e053f8fb6fcfa80d1"),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(QUBIT_STATES_DIGESTS))
+def test_qubit_states_override_is_bit_exact(tag):
+    count, digest = QUBIT_STATES_DIGESTS[tag]
+    basis = named_family(FamilyParams(tag, qubit_states=QUBIT_STATES[-count:]))
+    assert hashlib.sha256(basis.vectors.tobytes()).hexdigest() == digest
+
+
+def test_qubit_states_count_is_checked():
+    with pytest.raises(ValueError, match=r"^family 'd4_B0' needs 2 qubit states, got 1$"):
+        named_family(FamilyParams("d4_B0", qubit_states=QUBIT_STATES[:1]))
 
 
 def _ray_sets_equal(group1, group2):

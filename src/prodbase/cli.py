@@ -527,10 +527,7 @@ def cmd_classify(args) -> int:
     suffix = " (direct product)" if report.is_direct_product else ""
     print(f"right type: {report.right_type}{suffix}")
     left = left_classify(basis, tol)
-    if basis.n == 2:
-        print(f"left type: {left if left is not None else 'undefined'}")
-    else:
-        print("left type: undefined")
+    print(f"left type: {left if left is not None else 'undefined'}")
     print(f"blocks: r = {report.r}")
     for idx, blk in enumerate(report.blocks, start=1):
         print(
@@ -583,7 +580,11 @@ def cmd_family(args) -> int:
         if args.alpha is None or args.beta is None:
             print("error: --alpha and --beta must be given together", file=sys.stderr)
             return 2
-        params_kwargs["unitary_params"] = (complex(args.alpha), complex(args.beta))
+        try:
+            params_kwargs["unitary_params"] = (complex(args.alpha), complex(args.beta))
+        except ValueError as exc:
+            print(f"error: --alpha/--beta: {exc}", file=sys.stderr)
+            return 2
     if args.g_file is not None:
         raw = _read_json(args.g_file)
         if not isinstance(raw, dict):

@@ -26,7 +26,6 @@ from .numerics import (
     OMEGA,
     OMEGA2,
     Tolerances,
-    as_vector,
     canonical_phase,
     gram_residual,
 )
@@ -231,125 +230,80 @@ def _basis_from_factors(n: int, pairs, meta=None, tol: Tolerances = DEFAULT_TOL)
     return ProductBasis(n, [kron(a, b) for a, b in pairs], tol=tol, meta=meta)
 
 
-def _qubit_pair(state) -> tuple[np.ndarray, np.ndarray]:
-    a = as_vector(state)
-    return a, qubit_orthogonal(a)
+# The single-basis catalog: n, the Pauli axes of the default qubit rays a0, a1, ...,
+# and the basis rows in the paper's order as (qubit, qudit) names.  p<k> is the ray
+# orthogonal to a<k>; e<j> is the j-th coordinate vector of C^n, x0/x1 the x
+# eigenbasis of C^2, f<j> a column of the 3 x 3 Fourier matrix, and u0/u1 the
+# (alpha, beta) rotation of e0/e1 (d6_B1 only).
+_FAMILY_TABLE = {
+    "d4_B0": (2, "zx", "a0 e0, p0 e0, a1 e1, p1 e1"),
+    "d4_B1": (2, "z", "a0 e0, a0 e1, p0 x0, p0 x1"),
+    "d4_B2": (2, "z", "a0 e0, a0 e1, p0 e0, p0 e1"),
+    "d6_B0": (3, "zxy", "a0 e0, p0 e0, a1 e1, p1 e1, a2 e2, p2 e2"),
+    "d6_B1": (3, "zx", "a0 e0, a0 e1, p0 u0, p0 u1, a1 e2, p1 e2"),
+    "d6_B2": (3, "z", "a0 e0, a0 e1, a0 e2, p0 f0, p0 f1, p0 f2"),
+    "d6_B3": (3, "z", "a0 e0, a0 e1, a0 e2, p0 e0, p0 e1, p0 e2"),
+}
+
+_CODED_FAMILIES = ("d4_mupb_triple", "d6_mub_triple", "general_mupb_triple", "counterexample_1_4")
+FAMILY_TAGS = tuple(sorted([*_FAMILY_TABLE, *_CODED_FAMILIES]))
 
 
-def _default_qubits(params: FamilyParams, count: int, fallback) -> list[np.ndarray]:
-    states = params.qubit_states if params.qubit_states is not None else fallback
-    states = [as_vector(s) for s in states]
-    if len(states) != count:
-        raise ValueError(f"family {params.family!r} needs {count} qubit states, got {len(states)}")
-    return states
-
-
-_I2 = np.eye(2, dtype=np.complex128)
-_I3 = np.eye(3, dtype=np.complex128)
-
-
-def _family_d4_B0(params: FamilyParams, tol: Tolerances):
-    a1, a2 = _default_qubits(params, 2, (PAULI_EIGENBASES["z"][0], PAULI_EIGENBASES["x"][0]))
-    a1, a1p = _qubit_pair(a1)
-    a2, a2p = _qubit_pair(a2)
-    b1, b1p = _I2[:, 0], _I2[:, 1]
-    pairs = [(a1, b1), (a1p, b1), (a2, b1p), (a2p, b1p)]
-    return _basis_from_factors(2, pairs, meta={"family": "d4_B0"}, tol=tol)
-
-
-def _family_d4_B1(params: FamilyParams, tol: Tolerances):
-    (a,) = _default_qubits(params, 1, (PAULI_EIGENBASES["z"][0],))
-    a, ap = _qubit_pair(a)
-    b1, b1p = _I2[:, 0], _I2[:, 1]
-    b2, b2p = PAULI_EIGENBASES["x"]
-    pairs = [(a, b1), (a, b1p), (ap, b2), (ap, b2p)]
-    return _basis_from_factors(2, pairs, meta={"family": "d4_B1"}, tol=tol)
-
-
-def _family_d4_B2(params: FamilyParams, tol: Tolerances):
-    (a,) = _default_qubits(params, 1, (PAULI_EIGENBASES["z"][0],))
-    a, ap = _qubit_pair(a)
-    b, bp = _I2[:, 0], _I2[:, 1]
-    pairs = [(a, b), (a, bp), (ap, b), (ap, bp)]
-    return _basis_from_factors(2, pairs, meta={"family": "d4_B2"}, tol=tol)
-
-
-def _family_d6_B0(params: FamilyParams, tol: Tolerances):
-    defaults = (PAULI_EIGENBASES["z"][0], PAULI_EIGENBASES["x"][0], PAULI_EIGENBASES["y"][0])
-    qubits = _default_qubits(params, 3, defaults)
-    pairs = []
-    for k, state in enumerate(qubits):
-        a, ap = _qubit_pair(state)
-        pairs.append((a, _I3[:, k]))
-        pairs.append((ap, _I3[:, k]))
-    return _basis_from_factors(3, pairs, meta={"family": "d6_B0"}, tol=tol)
-
-
-def _family_d6_B1(params: FamilyParams, tol: Tolerances):
-    if params.unitary_params:
-        if len(params.unitary_params) != 2:
-            raise ValueError("d6_B1 takes exactly two unitary parameters (alpha, beta)")
-        alpha, beta = (complex(x) for x in params.unitary_params)
+def _table_family(params: FamilyParams, tol: Tolerances) -> ProductBasis:
+    """Assemble a basis of _FAMILY_TABLE from its names, on params.qubit_states when
+    given and otherwise on the +1 eigenvectors of the row's axes."""
+    tag = params.family
+    n, axes, rows = _FAMILY_TABLE[tag]
+    states = params.qubit_states
+    if states is None:
+        states = [PAULI_EIGENBASES[axis][0] for axis in axes]
+    if len(states) != len(axes):
+        raise ValueError(f"family {tag!r} needs {len(axes)} qubit states, got {len(states)}")
+    e = np.eye(n, dtype=np.complex128)
+    vectors = {f"e{j}": e[:, j] for j in range(n)}
+    for k, state in enumerate(states):
+        a = np.asarray(state, dtype=np.complex128)
+        if a.shape != (2,) or not abs(np.vdot(a, a).real - 1.0) <= tol.eps_unit:
+            raise ValueError(f"family {tag!r}: qubit state {k} is not a unit vector of C^2")
+        vectors[f"a{k}"], vectors[f"p{k}"] = a, qubit_orthogonal(a)
+    if n == 2:
+        vectors["x0"], vectors["x1"] = PAULI_EIGENBASES["x"]
     else:
+        vectors.update((f"f{j}", MUB6_FACTORS[0][1][:, j]) for j in range(n))
+    if tag == "d6_B1":  # e0 and e1 turned by (alpha, beta): the one computed qudit pair
         alpha = beta = complex(1.0 / math.sqrt(2.0))
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-12:
-        raise ValueError(f"|alpha|^2 + |beta|^2 must be 1, got {abs(alpha)**2 + abs(beta)**2!r}")
-    a1, a2 = _default_qubits(params, 2, (PAULI_EIGENBASES["z"][0], PAULI_EIGENBASES["x"][0]))
-    a1, a1p = _qubit_pair(a1)
-    a2, a2p = _qubit_pair(a2)
-    b, bp, bpp = _I3[:, 0], _I3[:, 1], _I3[:, 2]
-    vb = alpha * b + beta * bp
-    vbp = np.conj(beta) * b - np.conj(alpha) * bp
-    pairs = [(a1, b), (a1, bp), (a1p, vb), (a1p, vbp), (a2, bpp), (a2p, bpp)]
-    return _basis_from_factors(3, pairs, meta={"family": "d6_B1"}, tol=tol)
+        if params.unitary_params:
+            if len(params.unitary_params) != 2:
+                raise ValueError("d6_B1 takes exactly two unitary parameters (alpha, beta)")
+            alpha, beta = (complex(x) for x in params.unitary_params)
+        norm2 = abs(alpha) ** 2 + abs(beta) ** 2
+        if not abs(norm2 - 1.0) <= 1e-12:  # NaN fails here too
+            raise ValueError(f"|alpha|^2 + |beta|^2 must be 1, got {norm2!r}")
+        vectors["u0"] = alpha * e[:, 0] + beta * e[:, 1]
+        vectors["u1"] = np.conj(beta) * e[:, 0] - np.conj(alpha) * e[:, 1]
+    pairs = [[vectors[name] for name in row.split()] for row in rows.split(", ")]
+    return _basis_from_factors(n, pairs, meta={"family": tag}, tol=tol)
 
 
-def _family_d6_B2(params: FamilyParams, tol: Tolerances):
-    (a,) = _default_qubits(params, 1, (PAULI_EIGENBASES["z"][0],))
-    a, ap = _qubit_pair(a)
-    fourier = MUB6_FACTORS[0][1]
-    pairs = [(a, _I3[:, k]) for k in range(3)]
-    pairs += [(ap, fourier[:, k]) for k in range(3)]
-    return _basis_from_factors(3, pairs, meta={"family": "d6_B2"}, tol=tol)
-
-
-def _family_d6_B3(params: FamilyParams, tol: Tolerances):
-    (a,) = _default_qubits(params, 1, (PAULI_EIGENBASES["z"][0],))
-    a, ap = _qubit_pair(a)
-    pairs = [(a, _I3[:, k]) for k in range(3)]
-    pairs += [(ap, _I3[:, k]) for k in range(3)]
-    return _basis_from_factors(3, pairs, meta={"family": "d6_B3"}, tol=tol)
-
-
-def _family_d4_mupb_triple(params: FamilyParams, tol: Tolerances):
+def _unbiased_triple(tag: str, tol: Tolerances) -> list[ProductBasis]:
+    """d4_mupb_triple or d6_mub_triple: each basis pairs every column of a qubit
+    factor matrix with every column of a qudit factor matrix."""
+    if tag == "d4_mupb_triple":
+        key = "axis"
+        factors = {axis: (np.array(PAULI_EIGENBASES[axis]).T,) * 2 for axis in "zxy"}
+    else:
+        key = "index"
+        identity = (np.eye(2, dtype=np.complex128), np.eye(3, dtype=np.complex128))
+        factors = dict(enumerate([identity, *MUB6_FACTORS]))
     bases = []
-    for label in ("z", "x", "y"):
-        plus, minus = PAULI_EIGENBASES[label]
-        pairs = [(u, v) for u in (plus, minus) for v in (plus, minus)]
-        bases.append(
-            _basis_from_factors(2, pairs, meta={"family": "d4_mupb_triple", "axis": label}, tol=tol)
-        )
+    for label, (f2, fn) in factors.items():
+        n = len(fn)
+        pairs = [(f2[:, j], fn[:, k]) for j in range(2) for k in range(n)]
+        bases.append(_basis_from_factors(n, pairs, meta={"family": tag, key: label}, tol=tol))
     return bases
 
 
-def _family_d6_mub_triple(params: FamilyParams, tol: Tolerances):
-    bases = [
-        _basis_from_factors(
-            3,
-            [(_I2[:, j], _I3[:, k]) for j in range(2) for k in range(3)],
-            meta={"family": "d6_mub_triple", "index": 0},
-            tol=tol,
-        )
-    ]
-    for idx, (f2, f3) in enumerate(MUB6_FACTORS, start=1):
-        pairs = [(f2[:, j], f3[:, k]) for j in range(2) for k in range(3)]
-        bases.append(
-            _basis_from_factors(3, pairs, meta={"family": "d6_mub_triple", "index": idx}, tol=tol)
-        )
-    return bases
-
-
-def _family_general_mupb_triple(params: FamilyParams, tol: Tolerances):
+def _general_mupb_triple(params: FamilyParams, tol: Tolerances) -> list[ProductBasis]:
     """Unbiased triple of product bases from user-supplied qudit bases.
 
     g_bases maps z0, z1, x0, x1, y0, y1 to orthonormal bases of C^n.  The
@@ -374,11 +328,8 @@ def _family_general_mupb_triple(params: FamilyParams, tol: Tolerances):
     for label in ("z", "x", "y"):
         plus, minus = PAULI_EIGENBASES[label]
         pairs = [(plus, v) for v in g[f"{label}0"]] + [(minus, v) for v in g[f"{label}1"]]
-        bases.append(
-            _basis_from_factors(
-                n, pairs, meta={"family": "general_mupb_triple", "axis": label}, tol=tol
-            )
-        )
+        meta = {"family": "general_mupb_triple", "axis": label}
+        bases.append(_basis_from_factors(n, pairs, meta=meta, tol=tol))
     for i in range(3):
         for j in range(i + 1, 3):
             ok, dev = mu_check(bases[i].vectors, bases[j].vectors, tol)
@@ -390,43 +341,31 @@ def _family_general_mupb_triple(params: FamilyParams, tol: Tolerances):
     return bases
 
 
-def _family_counterexample(params: FamilyParams, tol: Tolerances):
-    """Four product vectors that group cleanly yet are not orthonormal.
-
-    Both factor multisets split into orthonormal pairs, but the cross terms
-    between the skew pairs leave Gram off-diagonals of 1/2.
-    """
-    a1, b1 = PAULI_EIGENBASES["z"][0], PAULI_EIGENBASES["z"][0]
-    a2, b2 = PAULI_EIGENBASES["x"][0], PAULI_EIGENBASES["x"][0]
-    a1, a1p = _qubit_pair(a1)
-    a2, a2p = _qubit_pair(a2)
-    b1p = qubit_orthogonal(b1)
-    b2p = qubit_orthogonal(b2)
-    pairs = [(a1, b1), (a1p, b1p), (a2, b2), (a2p, b2p)]
-    return _basis_from_factors(2, pairs, meta={"family": "counterexample_1_4"}, tol=tol)
-
-
-_FAMILY_BUILDERS = {
-    "d4_B0": _family_d4_B0,
-    "d4_B1": _family_d4_B1,
-    "d4_B2": _family_d4_B2,
-    "d6_B0": _family_d6_B0,
-    "d6_B1": _family_d6_B1,
-    "d6_B2": _family_d6_B2,
-    "d6_B3": _family_d6_B3,
-    "d4_mupb_triple": _family_d4_mupb_triple,
-    "d6_mub_triple": _family_d6_mub_triple,
-    "general_mupb_triple": _family_general_mupb_triple,
-    "counterexample_1_4": _family_counterexample,
-}
-
-FAMILY_TAGS = tuple(sorted(_FAMILY_BUILDERS))
-
-
 def named_family(params: FamilyParams, tol: Tolerances = DEFAULT_TOL):
-    """Build a catalog basis (or list of bases, for the unbiased triples)."""
-    try:
-        builder = _FAMILY_BUILDERS[params.family]
-    except KeyError:
-        raise ValueError(f"unknown family tag {params.family!r}; known: {FAMILY_TAGS}") from None
-    return builder(params, tol)
+    """Build a catalog basis (or list of bases, for the unbiased triples).
+
+    A FamilyParams field that the family does not read is a ValueError.
+    """
+    tag = params.family
+    if tag not in FAMILY_TAGS:
+        raise ValueError(f"unknown family tag {tag!r}; known: {FAMILY_TAGS}")
+    for field, given, takes in (
+        ("unitary_params (--alpha/--beta)", bool(params.unitary_params), tag == "d6_B1"),
+        ("qubit_states", params.qubit_states is not None, tag in _FAMILY_TABLE),
+        ("g_bases (--g-file)", params.g_bases is not None, tag == "general_mupb_triple"),
+    ):
+        if given and not takes:
+            raise ValueError(f"family {tag!r} does not take {field}")
+    if tag in _FAMILY_TABLE:
+        return _table_family(params, tol)
+    if tag == "general_mupb_triple":
+        return _general_mupb_triple(params, tol)
+    if tag == "counterexample_1_4":
+        # Four product vectors that group cleanly yet are not orthonormal: both factor
+        # multisets split into orthonormal pairs, but the cross terms between the skew
+        # pairs leave Gram off-diagonals of 1/2.
+        z, x = PAULI_EIGENBASES["z"][0], PAULI_EIGENBASES["x"][0]
+        zp, xp = qubit_orthogonal(z), qubit_orthogonal(x)
+        pairs = [(z, z), (zp, zp), (x, x), (xp, xp)]
+        return _basis_from_factors(2, pairs, meta={"family": tag}, tol=tol)
+    return _unbiased_triple(tag, tol)

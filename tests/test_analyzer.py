@@ -34,7 +34,7 @@ from prodbase.numerics import (
     subspace_equal,
 )
 from prodbase.partitions import Partition, partitions_of
-from prodbase.product_space import NotAProduct, factor_arrays, kron
+from prodbase.product_space import NotAProduct, factor_arrays, kron, qubit_orthogonal
 
 RT2 = math.sqrt(2.0)
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -463,6 +463,39 @@ def test_classify_span_check_flips_between_tiny_and_large_turns():
     assert report.diagnostics == (
         "qudit groups of block (0,) do not span one common subspace of dimension 1",
     )
+
+
+def _tilted_b2_basis(delta: float) -> ProductBasis:
+    """Blocks 16+16 on the qubit rays z and (0.2, sqrt(0.96)).  Block 1 pairs the
+    Fourier basis of span(e0 .. e15) with e0 .. e15; block 2 is e16 .. e31 on both
+    sides, but its first A-perp vector is tilted by `delta` toward e0."""
+    m = 16
+    e = np.eye(2 * m, dtype=complex)
+    fourier = np.exp(2j * np.pi * np.outer(np.arange(m), np.arange(m)) / m) / math.sqrt(m)
+    a = np.array([0.2, math.sqrt(0.96)], dtype=complex)
+    tilted = math.cos(delta) * e[m] + math.sin(delta) * e[0]
+    groups = [
+        (KET0, (e[:, :m] @ fourier).T),
+        (qubit_orthogonal(KET0), e[:m]),
+        (a, e[m:]),
+        (qubit_orthogonal(a), [tilted, *e[m + 1 :]]),
+    ]
+    return ProductBasis(2 * m, [kron(qubit, qudit) for qubit, rows in groups for qudit in rows])
+
+
+def test_classify_b2_check_alone_rejects_a_tilted_block():
+    # The tilt meets block 1's A group only through the Fourier spread, sin(delta) / 4,
+    # so the whole basis stays orthonormal, and it stays inside block 2's span bound.
+    # Only B2(n), where it meets e0 itself, sees sin(delta) = 3 eps_orth.
+    eps = DEFAULT_TOL.eps_orth
+    report = classify(_tilted_b2_basis(3.0 * eps))
+    assert 0.7 * eps < report.gram_residual < 0.75 * eps
+    assert report.diagnostics == (
+        "B2(n) is not an orthonormal basis of C^n (residual 3.000000e-09)",
+    )
+    report = classify(_tilted_b2_basis(0.5 * eps))
+    assert report.valid
+    assert report.right_type == Partition((16, 16))
 
 
 @settings(max_examples=100, deadline=None)

@@ -190,6 +190,70 @@ def test_family_d6_B1_params(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, message",
+    [
+        ("abc", "0.8", "error: --alpha/--beta: complex() arg is a malformed string"),
+        ("0.6", "1+", "error: --alpha/--beta: complex() arg is a malformed string"),
+        ("nan", "0", "error: |alpha|^2 + |beta|^2 must be 1, got nan"),
+        ("1", "nan+1j", "error: |alpha|^2 + |beta|^2 must be 1, got nan"),
+    ],
+)
+def test_family_bad_alpha_beta_is_a_usage_error(tmp_path, capsys, alpha, beta, message):
+    out = tmp_path / "b1.json"
+    assert main(["family", "d6_B1", "--alpha", alpha, "--beta", beta, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "tag, flags, field",
+    [
+        ("d4_B0", ["--alpha", "1", "--beta", "0"], "unitary_params (--alpha/--beta)"),
+        ("d6_mub_triple", ["--alpha", "1", "--beta", "0"], "unitary_params (--alpha/--beta)"),
+        ("d4_B1", ["--g-file", "G"], "g_bases (--g-file)"),
+        ("d6_B1", ["--g-file", "G"], "g_bases (--g-file)"),
+        ("counterexample_1_4", ["--g-file", "G"], "g_bases (--g-file)"),
+    ],
+)
+def test_family_rejects_a_parameter_it_ignores(tmp_path, capsys, tag, flags, field):
+    g_file = tmp_path / "g.json"
+    g_file.write_text(_g_file_text())
+    out = tmp_path / "b.json"
+    argv = ["family", tag, *[str(g_file) if f == "G" else f for f in flags], "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: family {tag!r} does not take {field}\n"
+    assert not list(tmp_path.glob("b*.json"))
+
+
+def test_readme_family_tags_match_the_catalog():
+    # README's table of tags: its tags, n and basis counts, and what each tag takes
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (\w+) \| (\d+) \| (.*) \|$", readme, flags=re.M)
+    assert sorted(tag for tag, *_ in rows) == list(FAMILY_TAGS)
+    g_bases = {key: np.eye(2, dtype=complex) for key in ("z0", "z1", "x0", "x1", "y0", "y1")}
+    given = {
+        "`qubit_states`": {"qubit_states": ((1, 0),) * 3},
+        "`--alpha/--beta`": {"unitary_params": (1, 0)},
+        "`--g-file`": {"g_bases": g_bases},
+    }
+    for tag, n, count, takes in rows:
+        if tag != "general_mupb_triple":
+            result = named_family(FamilyParams(tag))
+            bases = result if isinstance(result, list) else [result]
+            assert (str(bases[0].n), len(bases)) == (n, int(count)), tag
+        for name, kwargs in given.items():
+            try:
+                named_family(FamilyParams(tag, **kwargs))
+            except ValueError as exc:
+                rejected = "does not take" in str(exc)
+            else:
+                rejected = False
+            assert rejected == (name not in takes), (tag, name)
+
+
 def test_partitions_output(capsys):
     rc = main(["partitions", "6"])
     text = capsys.readouterr().out

@@ -216,6 +216,38 @@ def test_qubit_states_count_is_checked():
         named_family(FamilyParams("d4_B0", qubit_states=QUBIT_STATES[:1]))
 
 
+@pytest.mark.parametrize("state", [(0.6, 0.6), (1.0, 0.0, 0.0), ((1.0, 0.0),), (math.nan, 0.0)])
+def test_qubit_states_entry_must_be_a_unit_qubit(state):
+    expected = r"^family 'd4_B0': qubit state 1 is not a unit vector of C\^2$"
+    with pytest.raises(ValueError, match=expected):
+        named_family(FamilyParams("d4_B0", qubit_states=((1.0, 0.0), state)))
+
+
+@pytest.mark.parametrize(
+    "tag, field, value",
+    [
+        ("d4_B0", "unitary_params", (1.0, 0.0)),
+        ("d6_B3", "unitary_params", (1.0, 0.0)),
+        ("general_mupb_triple", "unitary_params", (1.0, 0.0)),
+        ("d4_B1", "g_bases", {}),
+        ("d6_mub_triple", "g_bases", {}),
+        ("d4_mupb_triple", "qubit_states", ((1.0, 0.0),)),
+        ("d6_mub_triple", "qubit_states", ()),
+        ("general_mupb_triple", "qubit_states", ((1.0, 0.0),)),
+        ("counterexample_1_4", "qubit_states", ((1.0, 0.0), (0.0, 1.0))),
+    ],
+)
+def test_family_rejects_a_field_it_does_not_read(tag, field, value):
+    with pytest.raises(ValueError, match=rf"^family '{tag}' does not take {field}\b"):
+        named_family(FamilyParams(tag, **{field: value}))
+
+
+def test_d6_B1_rejects_nan_parameters():
+    for params in ((math.nan, 0.0), (1.0, complex(math.nan, 1.0))):
+        with pytest.raises(ValueError, match=r"^\|alpha\|\^2 \+ \|beta\|\^2 must be 1, got nan$"):
+            named_family(FamilyParams("d6_B1", unitary_params=params))
+
+
 def _ray_sets_equal(group1, group2):
     used = [False] * len(group2)
     for u in group1:

@@ -228,6 +228,25 @@ def test_family_rejects_a_parameter_it_ignores(tmp_path, capsys, tag, flags, fie
     assert not list(tmp_path.glob("b*.json"))
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["generate", "4", "2+2"], ["family", "d4_B0"], ["family", "d4_mupb_triple"]],
+    ids=["generate", "family", "family of three"],
+)
+@pytest.mark.parametrize(
+    "out", ["missing/b.json", "dir", "", "."], ids=["missing directory", "directory", "empty", "dot"]
+)
+def test_an_unwritable_out_path_is_a_usage_error(tmp_path, monkeypatch, capsys, command, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dir_0.json").mkdir()  # the first file that d4_mupb_triple --out dir writes
+    assert main([*command, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: cannot write .*\n", captured.err)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "dir_0.json"]
+
+
 def test_readme_family_tags_match_the_catalog():
     # README's table of tags: its tags, n and basis counts, and what each tag takes
     readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -564,6 +583,23 @@ _DOUBLES = st.one_of(
 )
 
 
+def _two_block_numbers() -> np.ndarray:
+    """8,712 numbers: a first block of 8,192 without a zero, all of them in the bulk range but
+    a few on both sides of it, and a tail holding both zeros among numbers like those."""
+    rng = np.random.default_rng(7)
+    x = rng.choice([-1.0, 1.0], 8712) * 10.0 ** rng.uniform(-10, 0, 8712)
+    x[[5, 700, 8191, 8200]] = [1e300, -2.5, 1e-11, -5e-324]
+    x[8192 + rng.choice(520, 40, replace=False)] = [0.0, -0.0] * 20
+    return x
+
+
+def test_g17_on_blocks_with_and_without_zeros():
+    x = _two_block_numbers()
+    assert np.count_nonzero(x == 0) == 40
+    assert_g17_is_percent_g(x.tolist())
+    assert_g17_is_percent_g(np.concatenate([x[:8192], x[::-1]]).tolist())  # zeros in block 2 of 3
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_DOUBLES, min_size=1, max_size=40))
 def test_g17_writes_what_percent_g_writes_for_any_finite_double(values):
@@ -608,8 +644,17 @@ def test_g17_rounds_exact_17_digit_ties_half_to_even():
             vectors=np.array([[1e300, -0.0, 5e-324, -1e-10, 2.5, 1e-11, 0.1, -1234.5]] * 4).view(complex),
             meta={"note": "not a basis", "seed": 1},
         ),
+        # the writer works in blocks of 8,192 numbers; n = 33 has 8,712: a block and a tail
+        generate_from_type(TypeSpec(n=33, partition=Partition((17, 8, 4, 2, 1, 1)), seed=5)),
+        SimpleNamespace(n=33, vectors=_two_block_numbers().view(complex).reshape(66, 66), meta={}),
+        generate_from_type(
+            TypeSpec(n=64, partition=Partition((32, 32)), seed=6, subspace_mode="identity-blocks")
+        ),
     ],
-    ids=["random", "identity", "family", "n=1", "arbitrary numbers"],
+    ids=[
+        "random", "identity", "family", "n=1", "arbitrary numbers",
+        "n=33 random", "zeros in block 2", "n=64 identity",
+    ],
 )
 def test_save_basis_file_writes_the_reference_writers_bytes(tmp_path, basis):
     save_basis_file(tmp_path / "new.json", basis)

@@ -4,8 +4,8 @@ Bases travel as JSON files: ``{"dims": [2, n], "vectors": [[[re, im], ...],
 ...], "meta": {...}}`` with every number written as ``%.17g`` writes it (in bulk for 0
 and 1e-10 <= |x| < 1, by ``%.17g`` itself otherwise), so every double but -0.0 survives
 a save/load round trip; -0.0 is written as the JSON integer -0, which loads as +0.0.
-The writer fills one array of fixed-width cells 8,192 numbers at a time, a block without
-a zero in place and the nonzero numbers of any other block through a temporary.
+The writer fills 32-byte cells, a number's seven words and a separator word, 8,192 numbers
+at a time, drops their NULs and restores each row's indent with one replace on the text.
 Numbers are read with the bits that json.loads and complex(re, im) give them: a grid of
 at least _GRID_MIN bytes by the vectorized `_number_grid`, anything else by json.
 Exit codes are stable: 0 success or valid, 1 structurally invalid input basis, 2 usage
@@ -71,7 +71,7 @@ _HEADS = [(s, f, b"%d" % d) for s in (b"", b"-") for f in _FORMS for d in range(
 _HEADS = _words([s + (f + d if f[:1] == b"0" else d + f) for s, f, d in _HEADS], np.uint64)
 _EXPONENTS = _words([b"e-%02d" % e if e > 4 else b"" for e in range(11)], np.uint32)  # by -E
 _ZEROS = _words([b"0", b"-0"], np.uint32)
-_SEPARATORS = _words([b", ", b"], [", b"]],\n    [[", b"]]"], "V12").view(np.uint32).reshape(4, 3)
+_SEPARATORS = _words([b", ", b"], [", b"]],\n", b"]]"], np.uint32)  # after re, im, a row, the file
 # word q is "%04d" % q; word 10**4 + q is the same with its trailing "0"s as NUL
 _QUADS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(48)
 _QUADS = np.concatenate([_QUADS, _QUADS * (np.arange(10**4)[:, None] % [10**4, 1000, 100, 10] > 0)])
@@ -92,8 +92,9 @@ def _quotient(m, b, E):
 def _g17_nonzero(x, out) -> None:
     """Write b"%.17g" % x[i] for nonzero x into the seven uint32 words of out[i]: an 8-byte
     head, the digits d1 ... d16 and a 4-byte exponent, each padded with NULs."""
-    exact = (np.abs(x) >= 1e-10) & (np.abs(x) < 1.0)
-    v = np.where(exact, np.abs(x), 0.5)
+    a = np.abs(x)
+    exact = (a >= 1e-10) & (a < 1.0)
+    v = np.where(exact, a, 0.5)
     b, m = v.view(np.int64) >> 52, (v.view(np.uint64) & 2**52 - 1) | 2**52
     E = np.floor(np.log10(v)).astype(np.int64)
     q1, cut = _quotient(m, b, E)
@@ -105,18 +106,17 @@ def _g17_nonzero(x, out) -> None:
         q1[fix], cut[fix] = _quotient(m[fix], b[fix], E[fix])
     q = q1 >> 1
     # round half to even; D < 10**17: no double in range is within 5e-18 below a power of 10
-    D = q + (q1 & (cut | q) & 1)
-    lead, rest = (D // 10**16).astype(np.int64), D % 10**16
-    top, low = (rest // 10**8).astype(np.uint32), (rest % 10**8).astype(np.uint32)
-    quads = [top // 10**4, top % 10**4, low // 10**4, low % 10**4]
+    D = (q + (q1 & (cut | q) & 1)).view(np.int64)
+    c = [D // 10**k for k in (16, 12, 8, 4)] + [D]  # its first 1, 5, 9, 13 and 17 digits
+    quads = [c[j + 1] - c[j] * 10**4 for j in range(4)]  # by //, as numpy's % is slower
     trim = True  # whether all later quads are zero, so that this one drops its trailing zeros
     for j in (3, 2, 1, 0):
-        quads[j], trim = quads[j] + trim * np.uint32(10**4), trim & (quads[j] == 0)
-    form = np.minimum(-1 - E, 4) + ((E < -4) & (rest != 0))
-    out[:, :2] = _HEADS[(np.signbit(x) * 6 + form) * 10 + lead].view(np.uint32).reshape(-1, 2)
-    for j in range(4):
-        out[:, 2 + j] = _QUADS[quads[j]]
-    out[:, 6] = _EXPONENTS[-E]
+        np.take(_QUADS, quads[j] + trim * 10**4, out=out[:, 2 + j], mode="clip")
+        trim &= quads[j] == 0
+    form = np.minimum(-1 - E, 4) + ((E < -4) & ~trim)
+    head = (np.signbit(x) * 6 + form) * 10 + c[0]
+    np.take(_HEADS, head, out=out[:, :2].view(np.uint64)[:, 0], mode="clip")
+    np.take(_EXPONENTS, -E, out=out[:, 6], mode="clip")  # "clip" writes into out unbuffered
     for i in np.flatnonzero(~exact):  # |x| >= 1 or < 1e-10: a handful per basis at most
         text = b"%.17g" % x[i]
         out[i] = 0
@@ -124,11 +124,11 @@ def _g17_nonzero(x, out) -> None:
 
 
 def _g17(x, out) -> None:
-    """Write b"%.17g" % x[i], NUL-padded, into the seven uint32 words of out[i], whose words
-    after the text must be zero.  Block by block, to keep the temporaries small: a block of
-    8,192 numbers without a zero is written in place.  The other blocks' zeros are written
-    as "0" or "-0", and their nonzero numbers 8,192 at a time through a temporary scattered
-    into out, pooled across blocks as each `_g17_nonzero` call costs some 50 us."""
+    """Write b"%.17g" % x[i], NUL-padded, into the seven uint32 words of out[i], which may be
+    the first seven of a wider cell; words after the text must be zero.  A block of 8,192
+    numbers without a zero is written in place.  The other blocks' zeros are written as "0"
+    or "-0", and their nonzero numbers 8,192 at a time through a temporary scattered into
+    out, pooled across blocks as each `_g17_nonzero` call costs some 50 us."""
     sparse = x != 0  # the nonzero numbers of the blocks that hold a zero
     for i in range(0, x.size, 8192):
         block = slice(i, i + 8192)
@@ -146,20 +146,20 @@ def _g17(x, out) -> None:
 
 
 def save_basis_file(path, basis: ProductBasis) -> None:
-    """Write a basis as deterministic JSON, each number as `%.17g` writes it: in bulk for
-    0 and for 1e-10 <= |x| < 1, by `%.17g` itself otherwise.  `_g17` writes the numbers
-    block by block into a zeroed array of cells, each a number and the text after it, whose
-    NUL padding is dropped; BasisFileError when the file cannot be written."""
+    """Write a basis as deterministic JSON, each number as `%.17g` writes it (see `_g17`).
+    A number and the text after it (", ", "], [", "]],\\n" at a row's end, "]]" at the file's)
+    fill one zeroed 32-byte cell; the text without its NULs gets each row's "    [[" back
+    after its "\\n".  BasisFileError when the file cannot be written."""
     n = basis.n
-    cells = np.zeros((2 * n, 4 * n, 10), np.uint32)  # a number, then the text after it
-    _g17(basis.vectors.view(np.float64).ravel(), cells.reshape(-1, 10)[:, :7])
-    cells[:, 0::2, 7:], cells[:, 1::2, 7:] = _SEPARATORS[0], _SEPARATORS[1]
-    cells[:, -1, 7:], cells[-1, -1, 7:] = _SEPARATORS[2], _SEPARATORS[3]
+    cells = np.zeros((2 * n, 4 * n, 8), np.uint32)  # a number, then the text after it
+    _g17(basis.vectors.view(np.float64).ravel(), cells.reshape(-1, 8)[:, :7])
+    cells[:, 0::2, 7], cells[:, 1::2, 7] = _SEPARATORS[0], _SEPARATORS[1]
+    cells[:, -1, 7], cells[-1, -1, 7] = _SEPARATORS[2], _SEPARATORS[3]
     meta = json.dumps(basis.meta, sort_keys=True)
     try:
         with open(path, "wb") as f:
             f.write(f'{{\n  "dims": [2, {n}],\n  "vectors": [\n    [['.encode("ascii"))
-            f.write(cells.tobytes().translate(None, b"\0"))
+            f.write(cells.tobytes().translate(None, b"\0").replace(b"\n", b"\n    [["))
             f.write(f'\n  ],\n  "meta": {meta}\n}}\n'.encode("ascii"))
     except OSError as exc:
         raise BasisFileError(f"cannot write {path}: {exc}") from exc
@@ -590,10 +590,13 @@ def _family_out_paths(out: str, count: int) -> list[Path]:
     base = Path(out)
     if not base.name:  # "", "." or "/": a directory or nothing, no file to write or number
         raise BasisFileError(f"cannot write {out!r}: the path names no file")
-    if count == 1:
-        return [base]
     stem, suffix = base.stem, base.suffix or ".json"
-    return [base.with_name(f"{stem}_{i}{suffix}") for i in range(count)]
+    paths = [base] if count == 1 else [base.with_name(f"{stem}_{i}{suffix}") for i in range(count)]
+    for path in paths:  # each one before any file is written, so that a bad one writes none
+        if path.is_dir() or not path.parent.is_dir():
+            why = "is a directory" if path.is_dir() else f"no directory {str(path.parent)!r}"
+            raise BasisFileError(f"cannot write {path}: {why}")
+    return paths
 
 
 def cmd_family(args) -> int:
@@ -635,6 +638,9 @@ def cmd_family(args) -> int:
 def cmd_mub_check(args) -> int:
     tol = _tolerances(args)
     bases = [load_basis_file(path, tol) for path in args.paths]
+    if len(bases) < 2:  # after the files are read, so that a bad file is named first
+        print("error: mub-check needs at least two basis files", file=sys.stderr)
+        return 2
     dims = sorted({2 * basis.n for basis in bases})
     if len(dims) > 1:
         got = " and ".join(f"d = {d}" for d in dims)

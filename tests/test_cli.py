@@ -178,6 +178,15 @@ def test_mub_check_of_different_dimensions_is_a_usage_error(tmp_path, capsys):
     assert "d = 4 and d = 6" in captured.err
 
 
+def test_mub_check_of_one_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    save_basis_file(path, computational_basis(2))
+    assert main(["mub-check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mub-check needs at least two basis files\n"
+
+
 def test_family_unknown_tag(capsys):
     assert main(["family", "bogus"]) == 2
 
@@ -245,6 +254,17 @@ def test_an_unwritable_out_path_is_a_usage_error(tmp_path, monkeypatch, capsys, 
     assert captured.out == ""
     assert re.fullmatch(r"error: cannot write .*\n", captured.err)
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "dir_0.json"]
+
+
+@pytest.mark.parametrize("taken", ["x_1.json", "x_2.json"])
+def test_family_checks_each_out_path_before_writing_any(tmp_path, monkeypatch, capsys, taken):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / taken).mkdir()
+    assert main(["family", "d4_mupb_triple", "--out", "x.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {taken}: is a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == [taken]
 
 
 def test_readme_family_tags_match_the_catalog():
@@ -600,6 +620,16 @@ def test_g17_on_blocks_with_and_without_zeros():
     assert_g17_is_percent_g(np.concatenate([x[:8192], x[::-1]]).tolist())  # zeros in block 2 of 3
 
 
+def test_g17_leaves_the_word_after_each_number_zero():
+    # as save_basis_file calls it: on the first seven words of cells of eight
+    small = [0.0, -0.0, 1e300, -2.5, 5e-324, 0.1, -0.123456789, 1e-10, 0.5]
+    for x in (np.array(small), _two_block_numbers()):
+        cells = np.zeros((x.size, 8), np.uint32)
+        _g17(x, cells[:, :7])
+        assert not cells[:, 7].any()
+        assert [bytes(row[row != 0]) for row in cells.view(np.uint8)] == [b"%.17g" % v for v in x]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_DOUBLES, min_size=1, max_size=40))
 def test_g17_writes_what_percent_g_writes_for_any_finite_double(values):
@@ -650,16 +680,42 @@ def test_g17_rounds_exact_17_digit_ties_half_to_even():
         generate_from_type(
             TypeSpec(n=64, partition=Partition((32, 32)), seed=6, subspace_mode="identity-blocks")
         ),
+        # each row, and the file, ends in a number that %.17g writes alone, or in a zero
+        SimpleNamespace(
+            n=1,
+            vectors=np.array([[0.5, 1e300, 0.25, -0.0], [-0.125, -0.75, 1e-3, 0.0]]).view(complex),
+            meta={},
+        ),
+        SimpleNamespace(
+            n=2,
+            vectors=np.array([
+                [0.5, -0.25, 0.125, 0.75, -0.375, 0.625, 1e-9, end]
+                for end in (5e-324, -2.5, 1e300, -5e-324)
+            ]).view(complex),
+            meta={},
+        ),
     ],
     ids=[
         "random", "identity", "family", "n=1", "arbitrary numbers",
-        "n=33 random", "zeros in block 2", "n=64 identity",
+        "n=33 random", "zeros in block 2", "n=64 identity", "row ends, n=1", "row ends, n=2",
     ],
 )
 def test_save_basis_file_writes_the_reference_writers_bytes(tmp_path, basis):
     save_basis_file(tmp_path / "new.json", basis)
     reference_save_basis_file(tmp_path / "reference.json", basis)
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_save_basis_file_writes_the_reference_writers_bytes_for_any_numbers(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 4))
+    numbers = data.draw(st.lists(_DOUBLES, min_size=8 * n * n, max_size=8 * n * n))
+    basis = SimpleNamespace(n=n, vectors=np.array(numbers).view(complex).reshape(2 * n, 2 * n), meta={})
+    new, reference = (tmp_path_factory.getbasetemp() / name for name in ("new.json", "ref.json"))
+    save_basis_file(new, basis)
+    reference_save_basis_file(reference, basis)
+    assert new.read_bytes() == reference.read_bytes()
 
 
 # The sha256 of every file that a grid of `generate` and `family` calls writes, taken

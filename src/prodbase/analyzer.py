@@ -351,8 +351,6 @@ def classify(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> StructureRep
     if faults:
         return failed(faults[min(faults)])
     blocks.sort(key=lambda blk: (-blk.multiplicity, blk.a_indices[0]))
-    if sum(blk.multiplicity for blk in blocks) != basis.n:
-        return failed("block multiplicities do not sum to n")
     basis_b1 = tuple(v for blk in blocks for v in blk.group_A)
     basis_b2 = tuple(v for blk in blocks for v in blk.group_Aperp)
     b1 = [k for blk in blocks for k in blk.a_indices]

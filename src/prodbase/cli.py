@@ -9,7 +9,9 @@ at a time, drops their NULs and restores each row's indent with one replace on t
 Numbers are read with the bits that json.loads and complex(re, im) give them: a grid of
 at least _GRID_MIN bytes by the vectorized `_number_grid`, anything else by json.
 Exit codes are stable: 0 success or valid, 1 structurally invalid input basis, 2 usage
-or parse error.
+or parse error.  Commands return 0 or 1 and raise every fault, which `main` alone reports:
+BasisFileError and argparse.ArgumentTypeError as 2 and "error: ...", a ValueError as 1 and
+"invalid basis: ..." from verify, classify and mub-check and as 2 and "error: ..." otherwise.
 
 `main(argv)` may be called repeatedly in one process: the argument parser is
 built once, and every call parses its own argv and reads the environment anew.
@@ -471,7 +473,7 @@ def load_basis_file(path, tol: Tolerances = DEFAULT_TOL) -> ProductBasis:
     if not isinstance(raw, (list, np.ndarray)) or len(raw) != 2 * n:
         raise BasisFileError(f"{path}: expected {2 * n} vectors")
     vectors = _complex_rows(raw, 2 * n, path)
-    meta = data.get("meta") or {}
+    meta = data.get("meta", {})
     if not isinstance(meta, dict):
         raise BasisFileError(f"{path}: meta must be an object")
     # Unit-norm violations are a property of the basis, not of the file;
@@ -564,22 +566,14 @@ def cmd_classify(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    try:
-        partition = Partition.from_string(args.partition)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        spec = TypeSpec(
-            n=args.n,
-            partition=partition,
-            seed=args.seed,
-            subspace_mode="identity-blocks" if args.subspaces == "identity" else "haar-random",
-            pair_mode="equal-groups" if args.mode == "equal" else "independent-groups",
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    partition = Partition.from_string(args.partition)
+    spec = TypeSpec(
+        n=args.n,
+        partition=partition,
+        seed=args.seed,
+        subspace_mode="identity-blocks" if args.subspaces == "identity" else "haar-random",
+        pair_mode="equal-groups" if args.mode == "equal" else "independent-groups",
+    )
     basis = generate_from_type(spec)
     save_basis_file(args.out, basis)
     print(f"wrote {args.out} (n={args.n}, right type {partition}, seed {args.seed})")
@@ -603,30 +597,22 @@ def cmd_family(args) -> int:
     params_kwargs = {}
     if args.alpha is not None or args.beta is not None:
         if args.alpha is None or args.beta is None:
-            print("error: --alpha and --beta must be given together", file=sys.stderr)
-            return 2
+            raise argparse.ArgumentTypeError("--alpha and --beta must be given together")
         try:
             params_kwargs["unitary_params"] = (complex(args.alpha), complex(args.beta))
         except ValueError as exc:
-            print(f"error: --alpha/--beta: {exc}", file=sys.stderr)
-            return 2
+            raise argparse.ArgumentTypeError(f"--alpha/--beta: {exc}") from None
     if args.g_file is not None:
         raw = _read_json(args.g_file)
         if not isinstance(raw, dict):
-            print("error: g-bases file must hold a JSON object", file=sys.stderr)
-            return 2
+            raise BasisFileError("g-bases file must hold a JSON object")
         g_bases = {}
         for key, fam in raw.items():  # each a basis of C^n: n vectors of n entries
             if not isinstance(fam, (list, np.ndarray)):
-                print(f"error: g-bases entry {key!r} is not a list of vectors", file=sys.stderr)
-                return 2
+                raise BasisFileError(f"g-bases entry {key!r} is not a list of vectors")
             g_bases[key] = _complex_rows(fam, len(fam), f"{args.g_file}: {key}")
         params_kwargs["g_bases"] = g_bases
-    try:
-        result = named_family(FamilyParams(family=args.tag, **params_kwargs))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = named_family(FamilyParams(family=args.tag, **params_kwargs))
     bases = result if isinstance(result, list) else [result]
     out = f"{args.tag}.json" if args.out is None else args.out
     for path, basis in zip(_family_out_paths(out, len(bases)), bases):
@@ -639,13 +625,11 @@ def cmd_mub_check(args) -> int:
     tol = _tolerances(args)
     bases = [load_basis_file(path, tol) for path in args.paths]
     if len(bases) < 2:  # after the files are read, so that a bad file is named first
-        print("error: mub-check needs at least two basis files", file=sys.stderr)
-        return 2
+        raise argparse.ArgumentTypeError("mub-check needs at least two basis files")
     dims = sorted({2 * basis.n for basis in bases})
     if len(dims) > 1:
         got = " and ".join(f"d = {d}" for d in dims)
-        print(f"error: mub-check needs bases of one dimension, got {got}", file=sys.stderr)
-        return 2
+        raise argparse.ArgumentTypeError(f"mub-check needs bases of one dimension, got {got}")
     names = [Path(p).stem for p in args.paths]
     all_ok = True
     print("pairwise max | |<a|b>|^2 - 1/d |:")
@@ -660,11 +644,7 @@ def cmd_mub_check(args) -> int:
 
 
 def cmd_partitions(args) -> int:
-    try:
-        partitions = iter_partitions(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    partitions = iter_partitions(args.n)  # checks n before a line is printed
     lines = ("+".join([_PART_TEXT[part] for part in parts]) for parts in partitions)
     while chunk := list(itertools.islice(lines, 4096)):  # few writes, in bounded memory
         sys.stdout.write("\n".join(chunk) + "\n")
@@ -729,16 +709,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its own exit code, 0 or 1, or report what it raised:
+    BasisFileError, argparse.ArgumentTypeError and ValueError exit 2 with "error: ...", but a
+    ValueError from verify, classify or mub-check exits 1 with "invalid basis: ..."."""
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BasisFileError, argparse.ArgumentTypeError) as exc:
+    except (BasisFileError, argparse.ArgumentTypeError, ValueError) as exc:
+        if isinstance(exc, ValueError) and args.func in (cmd_verify, cmd_classify, cmd_mub_check):
+            print(f"invalid basis: {exc}", file=sys.stderr)
+            return 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # structurally invalid input (non-unit vectors, non-basis input, ...)
-        print(f"invalid basis: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -109,8 +109,8 @@ def factorize(v, tol: Tolerances = DEFAULT_TOL):
         return NotAProduct(sigma2=sigma2)
     G = M @ M.conj().T
     p, s, q = float(G[0, 0].real), float(G[1, 1].real), complex(G[0, 1])
+    # sigma2 <= eps_rank, so lam - min(p, s) is about max(p, s) >= 1/2: never (0, 0)
     a0, a1 = (q, sigma1**2 - p) if p < s else (sigma1**2 - s, q.conjugate())
-    a0 = 1.0 if a0 == 0 and a1 == 0 else a0
     pivot = a0 if abs(a0) >= (1.0 - 1e-12) * abs(a1) else a1  # canonical_phase's tie rule
     scale = abs(pivot) / pivot / math.hypot(abs(a0), abs(a1))
     a = np.array([a0 * scale, a1 * scale])

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prodbase.analyzer
+import prodbase.cli
 from prodbase.analyzer import ProductBasis
 from prodbase.cli import BasisFileError, _build_parser, _g17, load_basis_file, main, save_basis_file
 from prodbase.generator import FAMILY_TAGS, FamilyParams, TypeSpec, generate_from_type, named_family
@@ -178,13 +180,77 @@ def test_mub_check_of_different_dimensions_is_a_usage_error(tmp_path, capsys):
     assert "d = 4 and d = 6" in captured.err
 
 
-def test_mub_check_of_one_file_is_a_usage_error(tmp_path, capsys):
-    path = tmp_path / "one.json"
-    save_basis_file(path, computational_basis(2))
-    assert main(["mub-check", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: mub-check needs at least two basis files\n"
+# every exit-2 path that a command reports, not argparse: its command line and its stderr line
+COMMAND_USAGE_ERRORS = {
+    "malformed partition": ("generate 4 2+x", "invalid partition string '2+x'"),
+    "negative seed": ("generate 4 2+2 --seed -1", "seed must be an unsigned 64-bit integer"),
+    "n above MAX_N": ("generate 65 65", "n must be an integer in [1, 64], got 65"),
+    "partition of another n": ("generate 4 3+2", "partition 3+2 does not sum to n = 4"),
+    "partitions of 0": ("partitions 0", "n must be an integer in [1, 64], got 0"),
+    "unknown tag": ("family nope", f"unknown family tag 'nope'; known: {FAMILY_TAGS}"),
+    "alpha alone": ("family d6_B1 --alpha 1", "--alpha and --beta must be given together"),
+    "malformed alpha": (
+        "family d6_B1 --alpha abc --beta 1",
+        "--alpha/--beta: complex() arg is a malformed string",
+    ),
+    "nan alpha": ("family d6_B1 --alpha nan --beta 0", "|alpha|^2 + |beta|^2 must be 1, got nan"),
+    "ignored alpha": (
+        "family d4_B0 --alpha 1 --beta 0",
+        "family 'd4_B0' does not take unitary_params (--alpha/--beta)",
+    ),
+    "no g-file": (
+        "family general_mupb_triple",
+        "general_mupb_triple requires g_bases with keys z0,z1,x0,x1,y0,y1",
+    ),
+    "g-file of a list": (
+        "family general_mupb_triple --g-file list.json",
+        "g-bases file must hold a JSON object",
+    ),
+    "g-file entry of a number": (
+        "family general_mupb_triple --g-file z0.json",
+        "g-bases entry 'z0' is not a list of vectors",
+    ),
+    "second out path a directory": (
+        "family d4_mupb_triple --out x.json",
+        "cannot write x_1.json: is a directory",
+    ),
+    "out directory missing": (
+        "family d4_B0 --out missing/b.json",
+        "cannot write missing/b.json: no directory 'missing'",
+    ),
+    "mub-check of one file": ("mub-check d4.json", "mub-check needs at least two basis files"),
+    "mub-check of two dimensions": (
+        "mub-check d8.json d12.json",
+        "mub-check needs bases of one dimension, got d = 8 and d = 12",
+    ),
+}
+
+
+@pytest.mark.parametrize("line, message", COMMAND_USAGE_ERRORS.values(), ids=COMMAND_USAGE_ERRORS)
+def test_a_command_usage_error_exits_2_with_one_line_and_no_file(
+    tmp_path, monkeypatch, capsys, line, message
+):
+    monkeypatch.chdir(tmp_path)
+    for n in (2, 4, 6):
+        save_basis_file(f"d{2 * n}.json", computational_basis(n))
+    Path("list.json").write_text("[1, 2]")
+    Path("z0.json").write_text('{"z0": 3}')
+    Path("x_1.json").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main(line.split()) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_no_command_reports_an_error_itself():
+    # main alone turns a raised fault into a message and an exit code
+    tree = ast.parse(Path(prodbase.cli.__file__).read_text())
+    for func in tree.body:
+        if isinstance(func, ast.FunctionDef) and func.name.startswith("cmd_"):
+            for node in ast.walk(func):
+                assert not (isinstance(node, ast.Attribute) and node.attr == "stderr"), func.name
+                if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant):
+                    assert node.value.value != 2, func.name
 
 
 def test_family_unknown_tag(capsys):
@@ -303,10 +369,6 @@ def test_partitions_output(capsys):
     assert "p(6)=11, type lower bound 12" in text
 
 
-def test_partitions_out_of_range(capsys):
-    assert main(["partitions", "0"]) == 2
-
-
 def test_cli_determinism_byte_identical(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -362,11 +424,14 @@ def test_family_general_triple_via_g_file(tmp_path, capsys):
     assert "all pairs mutually unbiased: yes" in text
 
 
-def test_load_rejects_malformed_meta(tmp_path):
+@pytest.mark.parametrize("meta", [3, None, [], 0, "", False], ids=["3", "null", "[]", "0", '""', "false"])
+def test_load_rejects_malformed_meta(tmp_path, capsys, meta):
     path = tmp_path / "meta.json"
-    path.write_text(json.dumps({"dims": [2, 1], "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "meta": 3}))
+    path.write_text(json.dumps({"dims": [2, 1], "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "meta": meta}))
     with pytest.raises(BasisFileError):
         load_basis_file(path)
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: meta must be an object\n")
 
 
 def test_load_rejects_bool_dimension(tmp_path, capsys):

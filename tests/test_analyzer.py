@@ -683,3 +683,38 @@ def test_ray_classes_are_ascending_tuples_in_first_member_order():
     assert sorted(k for c in classes for k in c) == list(range(128))
     assert all(list(c) == sorted(c) for c in classes)
     assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+
+
+@pytest.mark.parametrize(
+    "overlap, message",
+    [
+        (  # 0 ~ 1 ~ 2 as rays, but 0 and 2 differ by 2.5e-8 > 2 * eps_ray
+            1.0 - np.array([[0.0, 1.0, 2.5], [1.0, 0.0, 1.0], [2.5, 1.0, 0.0]]) * 1e-8,
+            "ray class [0, 1, 2] is internally inconsistent: "
+            "vectors 0 and 2 differ by more than 2*eps_ray",
+        ),
+        (  # class 0 is orthogonal to both other classes
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]],
+            "ambiguous partner for ray class (0,): 2 classes are orthogonal within eps_orth",
+        ),
+    ],
+    ids=["inconsistent class", "ambiguous partner"],
+)
+def test_ray_classes_reject_a_hand_built_overlap_matrix(overlap, message):
+    tol = Tolerances(eps_ray=1.1e-8)
+    with pytest.raises(ValueError) as exc:
+        analyzer._ray_classes(np.array(overlap), tol)
+    assert str(exc.value) == message
+
+
+def test_swap_factors_needs_n_2():
+    basis = generate_from_type(TypeSpec(n=3, partition=Partition((2, 1)), seed=1))
+    with pytest.raises(ValueError) as exc:
+        swap_factors(basis)
+    assert str(exc.value) == "factor swap is only defined for 2 x 2"
+
+
+def test_mu_check_rejects_families_of_different_sizes():
+    with pytest.raises(ValueError) as exc:
+        mu_check(np.eye(2), np.eye(3))
+    assert str(exc.value) == "not-a-basis: the two families have different sizes"

@@ -348,3 +348,40 @@ def test_general_mupb_triple_rejects_biased_input():
         named_family(FamilyParams("general_mupb_triple", g_bases=same))
     with pytest.raises(ValueError):
         named_family(FamilyParams("general_mupb_triple"))
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("subspace_mode", "subspace_mode must be one of ('identity-blocks', 'haar-random')"),
+        ("pair_mode", "pair_mode must be one of ('equal-groups', 'independent-groups')"),
+        ("qubit_mode", "qubit_mode must be one of ('fixed-list', 'random-skew')"),
+    ],
+)
+def test_type_spec_rejects_an_unknown_mode(field, message):
+    with pytest.raises(ValueError) as exc:
+        TypeSpec(n=2, partition=Partition((2,)), **{field: "other"})
+    assert str(exc.value) == message
+
+
+KEYS = ("z0", "z1", "x0", "x1", "y0", "y1")
+
+
+@pytest.mark.parametrize(
+    "g_bases, message",
+    [
+        (
+            {key: np.eye(2) for key in KEYS[:-1]},
+            "g_bases must have exactly the keys ('z0', 'z1', 'x0', 'x1', 'y0', 'y1')",
+        ),
+        (
+            {key: np.eye(3)[:2] if key == "x1" else np.eye(2) for key in KEYS},
+            "g_bases['x1'] must be n vectors of dim n",
+        ),
+    ],
+    ids=["a key missing", "a basis of another shape"],
+)
+def test_general_mupb_triple_rejects_malformed_g_bases(g_bases, message):
+    with pytest.raises(ValueError) as exc:
+        named_family(FamilyParams(family="general_mupb_triple", g_bases=g_bases))
+    assert str(exc.value) == message

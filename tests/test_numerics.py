@@ -224,6 +224,13 @@ def test_subspace_equal_ambient_mismatch():
         subspace_equal(s, t)
 
 
+def test_subspaces_of_unequal_dimension_are_not_equal():
+    line = orthonormalize([np.array([1, 0, 0.0])])
+    plane = orthonormalize([np.array([1, 0, 0.0]), np.array([0, 1, 0.0])])
+    assert not subspace_equal(line, plane)
+    assert not subspace_equal(plane, line)
+
+
 def test_subspace_equal_transitive_within_triple_tolerance():
     # two sub-tolerance rotations compose to at most a 3x-tolerance difference
     base = orthonormalize([np.array([1, 0, 0, 0.0]), np.array([0, 1, 0, 0.0])])

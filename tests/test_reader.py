@@ -478,3 +478,77 @@ def test_g_file_families_go_through_the_basis_row_reader(tmp_path, monkeypatch):
     rc, err = _call(argv)
     assert rc == 2 and err == f"error: {path}: z0: vector 0 has non-finite entries\n"
     assert calls == [f"{path}: z0"]
+
+
+# --- hand-made files against the reference ------------------------------------------------------
+
+
+def _saved_text(tmp_path, n):
+    path = tmp_path / "saved.json"
+    save_basis_file(path, unit_basis(n, 1))
+    return path.read_text()
+
+
+def _grid(text):
+    """The `vectors` grid of a file `save_basis_file` wrote."""
+    return text[text.index("[\n    [[") : text.index("\n  ],") + 4]
+
+
+def _row_of_two(text):
+    """The file with its third row cut to two entries."""
+    lines = text.split("\n")
+    third = [k for k, line in enumerate(lines) if line.startswith("    [[")][2]
+    lines[third] = "    [[1, 0], [0, 1]],"
+    return "\n".join(lines)
+
+
+def _short_rows(text):
+    """The file with every row one entry short: a regular grid still."""
+    data = json.loads(text)
+    return json.dumps({"dims": data["dims"], "vectors": [row[:-1] for row in data["vectors"]]})
+
+
+HAND_MADE = {  # name: (the file made from a saved file's text, whether it loads)
+    "key without colon": (lambda t: t.replace('"vectors": [', '"vectors" [', 1), False),
+    "members without comma": (lambda t: t.replace("16],", "16]", 1), False),
+    "text after the object": (lambda t: t + "x", False),
+    "no closing brace": (lambda t: t.rstrip()[:-1], False),
+    "trailing comma": (lambda t: t.replace("}\n}", "},\n}"), False),
+    "second vectors after the grid": (lambda t: t[:-3] + ', "vectors": [[[1, 2]]]}', False),
+    "second vectors before the grid": (lambda t: t.replace("{", '{"vectors": [[[1]]], ', 1), True),
+    "meta holding the grid": (lambda t: t[: t.index('"meta"')] + f'"meta": {_grid(t)}}}', False),
+    "top-level array": (_grid, False),
+    "a row of 2 entries": (_row_of_two, False),
+    "every row one entry short": (_short_rows, False),
+    "true outside meta": (lambda t: t.replace("{", '{"flag": true, ', 1), False),
+    "true inside meta": (lambda t: t.replace('"meta": {', '"meta": {"flag": true, ', 1), True),
+}
+SMALL = ["top-level array", "a row of 2 entries", "every row one entry short"]
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, 16) for name in HAND_MADE] + [(name, 2) for name in SMALL],
+    ids=[f"{name}, n = 16" for name in HAND_MADE] + [f"{name}, n = 2" for name in SMALL],
+)
+def test_hand_made_files_load_as_the_reference_loads_them(tmp_path, capsys, name, n):
+    make, loads = HAND_MADE[name]
+    text = make(_saved_text(tmp_path, n))
+    assert (len(text) >= _GRID_MIN) == (n == 16)
+    path = tmp_path / "b.json"
+    path.write_text(text)
+    want = outcome(reference_load_basis_file, path)
+    assert outcome(load_basis_file, path) == want
+    assert isinstance(want[0], bytes) == loads
+    if not loads:
+        assert want[0] is BasisFileError
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {want[1]}\n")
+
+
+def test_a_directory_is_not_a_basis_file(tmp_path, capsys):
+    want = outcome(reference_load_basis_file, tmp_path)
+    assert want[0] is BasisFileError and want[1].startswith(f"cannot read {tmp_path}: ")
+    assert outcome(load_basis_file, tmp_path) == want
+    assert main(["verify", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {want[1]}\n")

@@ -6,12 +6,14 @@ and 1e-10 <= |x| < 1, by ``%.17g`` itself otherwise), so every double but -0.0 s
 a save/load round trip; -0.0 is written as the JSON integer -0, which loads as +0.0.
 The writer fills 32-byte cells, a number's seven words and a separator word, 8,192 numbers
 at a time, drops their NULs and restores each row's indent with one replace on the text.
-Numbers are read with the bits that json.loads and complex(re, im) give them: a grid of
-at least _GRID_MIN bytes by the vectorized `_number_grid`, anything else by json.
+Numbers are read with the bits that json.loads and complex(re, im) give them: json's object
+parser walks the top-level object and hands a member value opening with [[[ (`vectors`, a
+g-file basis) to the vectorized `_number_grid` when its grid spans _GRID_MIN bytes or more.
 Exit codes are stable: 0 success or valid, 1 structurally invalid input basis, 2 usage
-or parse error.  Commands return 0 or 1 and raise every fault, which `main` alone reports:
-BasisFileError and argparse.ArgumentTypeError as 2 and "error: ...", a ValueError as 1 and
-"invalid basis: ..." from verify, classify and mub-check and as 2 and "error: ..." otherwise.
+or parse error, 141 stdout closed by its reader.  Commands return 0 or 1 and raise every
+fault, which `main` alone reports: BasisFileError and argparse.ArgumentTypeError as 2 and
+"error: ...", a ValueError as 1 and "invalid basis: ..." from verify, classify and
+mub-check and as 2 and "error: ..." otherwise.
 
 `main(argv)` may be called repeatedly in one process: the argument parser is
 built once, and every call parses its own argv and reads the environment anew.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import functools
 import itertools
 import json
@@ -354,45 +357,6 @@ def _number_grid(buf, start):
     return out.reshape(rows, cols, 2), start + end
 
 
-def _members(text, buf):
-    """The top-level object of `text`, each member value other than "meta" that is a grid for
-    `_number_grid` read by it, and the parts of `text` outside those grids; None when `text`
-    is no such object or not valid JSON."""
-    i = _BLANK(text, 0).end()
-    if text[i : i + 1] != "{":
-        return None
-    data, outside, done = {}, [], 0
-    i = _BLANK(text, i + 1).end()
-    try:
-        while text[i : i + 1] == '"':
-            key, i = json.decoder.scanstring(text, i + 1)
-            i = _BLANK(text, i).end()
-            if text[i : i + 1] != ":":
-                return None
-            i = _BLANK(text, i + 1).end()
-            grid = None
-            if key != "meta" and _GRID_OPEN.match(text, i):
-                grid = _number_grid(buf, i + _PAD)
-            if grid is None:
-                data[key], i = _SCAN(text, i)
-            else:
-                data[key], end = grid[0], grid[1] - _PAD
-                outside.append(text[done:i])
-                i = done = end
-            i = _BLANK(text, i).end()
-            if text[i : i + 1] == "}":
-                if _BLANK(text, i + 1).end() == len(text):
-                    outside.append(text[done:])
-                    return data, outside
-                return None
-            if text[i : i + 1] != ",":
-                return None
-            i = _BLANK(text, i + 1).end()
-    except (StopIteration, ValueError, RecursionError):
-        return None
-    return None
-
-
 def _holds_bool(node) -> bool:
     """Whether a JSON true or false, which Python takes for 1 or 0, is in `node`
     outside a "meta" object."""
@@ -402,23 +366,37 @@ def _holds_bool(node) -> bool:
 
 
 def _read_json(path):
-    """The content of a JSON file of numbers, each large grid of numbers in an object as a
-    float64 (rows, cols, 2) array; BasisFileError when the file cannot be read, is not UTF-8
-    JSON, nests too deeply, or has a true or false outside "meta"."""
+    """The content of a JSON file of numbers, each large grid of numbers that is a member of
+    the top-level object as a float64 (rows, cols, 2) array; BasisFileError when the file
+    cannot be read, is not UTF-8 JSON, nests too deeply, or has a true or false outside "meta"."""
+    maybe_bools = []  # whether each text that json's scanner read may hold a true or false
+
+    def scan(text, i):  # a member value: a grid for `_number_grid`, or anything for json
+        grid = _number_grid(buf, i + _PAD) if _GRID_OPEN.match(text, i) else None
+        if grid is not None:
+            return grid[0], grid[1] - _PAD
+        value, end = _SCAN(text, i)
+        # no number holds a "t" or an "f", and a one-letter search is fast
+        maybe_bools.append(text.find("t", i, end) >= 0 or text.find("f", i, end) >= 0)
+        return value, end
+
     try:
         raw = Path(path).read_bytes()
         buf = b"".join((b" " * _PAD, raw, b" " * _PAD))
         del raw  # a large file is held twice at most: as buf and as text
         text = str(memoryview(buf)[_PAD:-_PAD], "utf-8")
-        got = None
-        if len(text) >= _GRID_MIN and text.isascii() and "\r" not in text:
-            got = _members(text, buf)
-        if got is None:  # json.loads, as read_text gives the text
+        got, i = None, _BLANK(text, 0).end()
+        plain = text.isascii() and "\r" not in text  # a byte a character, as read_text reads it
+        if len(text) >= _GRID_MIN and plain and text.startswith("{", i):
+            with contextlib.suppress(ValueError, RecursionError):  # json.loads gives the message
+                got = json.decoder.JSONObject((text, i + 1), True, scan, None, None)
+        if got is not None and _BLANK(text, got[1]).end() == len(text):
+            data = got[0]
+        else:  # json.loads, as read_text gives the text, whose keys hold letters but no words
             data = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
-            got = data, [text]
-        data, outside = got
-        # the text test spares a file of a few numbers the scan of them all
-        bools = any("true" in part or "false" in part for part in outside) and _holds_bool(data)
+            maybe_bools = ["true" in text or "false" in text]
+        # the text tests spare a file of a few numbers the walk of them all
+        bools = any(maybe_bools) and _holds_bool(data)
     except OSError as exc:
         raise BasisFileError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep
@@ -647,7 +625,7 @@ def cmd_partitions(args) -> int:
     partitions = iter_partitions(args.n)  # checks n before a line is printed
     lines = ("+".join([_PART_TEXT[part] for part in parts]) for parts in partitions)
     while chunk := list(itertools.islice(lines, 4096)):  # few writes, in bounded memory
-        sys.stdout.write("\n".join(chunk) + "\n")
+        print("\n".join(chunk))
     print(
         f"p({args.n})={partition_count(args.n)}, "
         f"type lower bound {type_count_lower_bound(args.n)}"
@@ -711,10 +689,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command and return its own exit code, 0 or 1, or report what it raised:
     BasisFileError, argparse.ArgumentTypeError and ValueError exit 2 with "error: ...", but a
-    ValueError from verify, classify or mub-check exits 1 with "invalid basis: ..."."""
+    ValueError from verify, classify or mub-check exits 1 with "invalid basis: ...".  A
+    reader that closes stdout early ends the command silently with 141, as SIGPIPE would."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        print(end="", flush=True)  # a closed pipe fails here, not at exit; no stdout, no-op
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit, which must not fail too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 128 + 13  # SIGPIPE
     except (BasisFileError, argparse.ArgumentTypeError, ValueError) as exc:
         if isinstance(exc, ValueError) and args.func in (cmd_verify, cmd_classify, cmd_mub_check):
             print(f"invalid basis: {exc}", file=sys.stderr)

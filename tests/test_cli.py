@@ -2,8 +2,11 @@ import ast
 import hashlib
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -251,6 +254,20 @@ def test_no_command_reports_an_error_itself():
                 assert not (isinstance(node, ast.Attribute) and node.attr == "stderr"), func.name
                 if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant):
                     assert node.value.value != 2, func.name
+
+
+def test_only_read_json_parses_json():
+    # basis files and g-files share one reading path
+    tree = ast.parse(Path(prodbase.cli.__file__).read_text())
+    readers = set()
+    for func in tree.body:
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Name) and node.id in ("_SCAN", "_number_grid"):
+                    readers.add(func.name)
+                if isinstance(node, ast.Attribute) and node.attr in ("loads", "JSONObject"):
+                    readers.add(func.name)
+    assert readers == {"_read_json"}
 
 
 def test_family_unknown_tag(capsys):
@@ -632,6 +649,41 @@ def test_partitions_out_of_range_prints_nothing_on_stdout(capsys):
     assert main(["partitions", "65"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: n must be an integer in [1, 64], got 65\n"
+
+
+def _cli(*argv, **kwargs):
+    """`python -m prodbase.cli *argv` as a child process on this tree's package, stderr piped,
+    with stdout buffered as it is by default."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(prodbase.cli.__file__).parents[1])
+    argv = [sys.executable, "-m", "prodbase.cli", *argv]
+    return subprocess.Popen(argv, env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+def test_a_reader_that_stops_early_ends_partitions_with_141_and_no_message():
+    child = _cli("partitions", "40", stdout=subprocess.PIPE)
+    assert child.stdout.readline() == b"40\n"
+    child.stdout.close()  # with most of the 37,338 lines unwritten
+    assert child.wait(timeout=60) == 141
+    assert child.stderr.read() == b""
+
+
+def test_verify_into_a_closed_pipe_exits_141_with_no_message(tmp_path):
+    save_basis_file(tmp_path / "b.json", computational_basis(2))
+    read, write = os.pipe()
+    os.close(read)
+    child = _cli("verify", str(tmp_path / "b.json"), stdout=write)
+    os.close(write)
+    assert child.wait(timeout=60) == 141
+    assert child.stderr.read() == b""
+
+
+@pytest.mark.parametrize("argv", [["partitions", "40"], ["verify", "b.json"]])
+def test_a_command_without_stdout_exits_as_with_it(tmp_path, argv):
+    save_basis_file(tmp_path / "b.json", computational_basis(2))
+    child = _cli(*argv, cwd=tmp_path, preexec_fn=lambda: os.close(1))
+    assert child.wait(timeout=60) == 0
+    assert child.stderr.read() == b""
 
 
 def reference_save_basis_file(path, basis):

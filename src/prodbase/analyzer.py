@@ -13,7 +13,6 @@ overlap moduli of their qubit factors and of their qudit factors.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -94,8 +93,7 @@ class ProductBasis:
 
 class _Factors(NamedTuple):
     """`factor_arrays` of a basis' rows, and the overlap moduli |<r_i|r_j>| of its
-    qubit and of its qudit factors; every array is read-only.  A named tuple, not a
-    frozen dataclass, because building that class costs each import about 0.6 ms."""
+    qubit and of its qudit factors; every array is read-only."""
 
     qubits: np.ndarray
     qudits: np.ndarray
@@ -104,8 +102,7 @@ class _Factors(NamedTuple):
     qudit_overlaps: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class PairBlock:
+class PairBlock(NamedTuple):
     """One antipodal block of the decomposition.
 
     The qubit pair (a, a_perp) spans C^2; group_A and group_Aperp are the
@@ -124,8 +121,7 @@ class PairBlock:
     groups_coincide: bool = False
 
 
-@dataclass(frozen=True, eq=False)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Outcome of `classify`: the block decomposition or the first failure."""
 
     valid: bool

@@ -16,7 +16,7 @@ seed, so identical inputs reproduce identical bases bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,10 +102,7 @@ MUB6_FACTORS = (
 )
 
 
-@dataclass(frozen=True)
-class TypeSpec:
-    """Recipe for `generate_from_type`."""
-
+class _TypeSpec(NamedTuple):
     n: int
     partition: Partition
     seed: int = 0
@@ -113,12 +110,21 @@ class TypeSpec:
     pair_mode: str = "independent-groups"
     qubit_mode: str = "random-skew"
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_N:
-            raise ValueError(f"n must be an integer in [1, {MAX_N}], got {self.n!r}")
-        if self.partition.n != self.n:
-            raise ValueError(f"partition {self.partition} does not sum to n = {self.n}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+
+class TypeSpec(_TypeSpec):
+    """Recipe for `generate_from_type`."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        n, seed = self.n, self.seed
+        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_N:
+            raise ValueError(f"n must be an integer in [1, {MAX_N}], got {n!r}")
+        if self.partition.n != n:
+            raise ValueError(f"partition {self.partition} does not sum to n = {n}")
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.subspace_mode not in _SUBSPACE_MODES:
             raise ValueError(f"subspace_mode must be one of {_SUBSPACE_MODES}")
@@ -126,10 +132,10 @@ class TypeSpec:
             raise ValueError(f"pair_mode must be one of {_PAIR_MODES}")
         if self.qubit_mode not in _QUBIT_MODES:
             raise ValueError(f"qubit_mode must be one of {_QUBIT_MODES}")
+        return self
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(NamedTuple):
     """Parameters for `named_family`.
 
     unitary_params supplies (alpha, beta) where the family rotates a block

@@ -7,7 +7,7 @@ functions are pure and all returned values should be treated as immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,14 @@ OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
 OMEGA2 = OMEGA.conjugate()
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class _Tolerances(NamedTuple):
+    eps_orth: float = 1e-9
+    eps_unit: float = 1e-9
+    eps_rank: float = 1e-8
+    eps_ray: float = 1e-8
+
+
+class Tolerances(_Tolerances):
     """Numerical thresholds used throughout the package.
 
     eps_orth: max Gram deviation still counted as orthonormal
@@ -44,14 +50,14 @@ class Tolerances:
     eps_ray:  overlap-modulus threshold for ray (phase-class) equality
     """
 
-    eps_orth: float = 1e-9
-    eps_unit: float = 1e-9
-    eps_rank: float = 1e-8
-    eps_ray: float = 1e-8
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace checks too
 
-    def __post_init__(self):
-        for name in ("eps_orth", "eps_unit", "eps_rank", "eps_ray"):
-            check_tolerance(name, getattr(self, name))
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            check_tolerance(name, value)
+        return self
 
 
 def check_tolerance(name: str, value: float) -> float:
@@ -123,22 +129,26 @@ def gram_residual(vectors) -> float:
     return residual if residual == residual else math.inf  # inf - inf is no pass
 
 
-@dataclass(frozen=True, eq=False)
-class Subspace:
-    """A subspace of C^ambient_dim given by a matrix with orthonormal columns."""
-
+class _Subspace(NamedTuple):
     ambient_dim: int
     basis: np.ndarray
 
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=np.complex128)
-        if b.ndim != 2 or b.shape[0] != self.ambient_dim:
-            raise ValueError(f"basis shape {b.shape} does not match ambient dim {self.ambient_dim}")
-        if not 1 <= b.shape[1] <= self.ambient_dim:
+
+class Subspace(_Subspace):
+    """A subspace of C^ambient_dim given by a matrix with orthonormal columns."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+
+    def __new__(cls, ambient_dim: int, basis):
+        b = np.asarray(basis, dtype=np.complex128)
+        if b.ndim != 2 or b.shape[0] != ambient_dim:
+            raise ValueError(f"basis shape {b.shape} does not match ambient dim {ambient_dim}")
+        if not 1 <= b.shape[1] <= ambient_dim:
             raise ValueError(f"subspace dimension {b.shape[1]} out of range")
-        if np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))) > 1e-6:
+        if not np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))) <= 1e-6:  # NaN fails too
             raise ValueError("basis columns are not orthonormal")
-        object.__setattr__(self, "basis", b)
+        return super().__new__(cls, ambient_dim, b)
 
     @property
     def dim(self) -> int:

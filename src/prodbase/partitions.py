@@ -7,8 +7,6 @@ is the dimension of one orthogonal subspace in the qudit-side decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
     "MAX_N",
     "Partition",
@@ -23,33 +21,34 @@ __all__ = [
 MAX_N = 64
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
+class Partition(tuple):
     """A weakly decreasing tuple of positive integers; `n` is their sum."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.parts:
+    def __new__(cls, parts):
+        if not parts:
             raise ValueError("partition needs at least one part")
-        if any(not isinstance(p, int) or p < 1 for p in self.parts):
-            raise ValueError(f"parts must be positive integers, got {self.parts!r}")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"parts must be weakly decreasing, got {self.parts!r}")
-        object.__setattr__(self, "parts", tuple(self.parts))
+        self = super().__new__(cls, parts)
+        if any(isinstance(p, bool) or not isinstance(p, int) or p < 1 for p in self):
+            raise ValueError(f"parts must be positive integers, got {parts!r}")
+        if any(a < b for a, b in zip(self, self[1:])):
+            raise ValueError(f"parts must be weakly decreasing, got {parts!r}")
+        return self
+
+    @property
+    def parts(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def n(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
+    def __repr__(self):
+        return f"Partition(parts={self.parts!r})"
 
     def __str__(self):
-        return "+".join(str(p) for p in self.parts)
+        return "+".join(map(str, self))
 
     @classmethod
     def from_string(cls, text: str) -> "Partition":

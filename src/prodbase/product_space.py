@@ -11,7 +11,7 @@ batched call: numpy's fixed per-call cost makes each the cheaper one at its own 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .numerics import (
 __all__ = ["ProductVector", "NotAProduct", "kron", "factor_arrays", "factorize", "qubit_orthogonal"]
 
 
-@dataclass(frozen=True, eq=False)
-class ProductVector:
+class ProductVector(NamedTuple):
     """A pure product state: qubit factor `a`, qudit factor `b`, full = kron(a, b).
 
     `phase` records the residual global phase when the value came out of
@@ -42,8 +41,7 @@ class ProductVector:
     phase: complex = 1.0 + 0.0j
 
 
-@dataclass(frozen=True)
-class NotAProduct:
+class NotAProduct(NamedTuple):
     """Marker for a vector rejected by `factorize`, carrying the measured sigma_2."""
 
     sigma2: float

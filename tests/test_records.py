@@ -1,13 +1,17 @@
 """The nine public record types: construction, repr, immutability, equality,
 hashing, pickling and every validation message."""
 
+import ast
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prodbase
+
 from prodbase.analyzer import PairBlock, StructureReport
-from prodbase.generator import FamilyParams, TypeSpec
+from prodbase.generator import FamilyParams, TypeSpec, generate_from_type
 from prodbase.numerics import DEFAULT_TOL, Subspace, Tolerances
 from prodbase.partitions import Partition
 from prodbase.product_space import NotAProduct, ProductVector
@@ -260,3 +264,101 @@ def test_type_spec_messages(fields, message):
     with pytest.raises(ValueError) as exc:
         TypeSpec(**{"n": 2, "partition": Partition((1, 1)), **fields})
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Partition((True, True)), "parts must be positive integers, got (True, True)"),
+        (lambda: Partition([2, False]), "parts must be positive integers, got [2, False]"),
+        (
+            lambda: TypeSpec(n=True, partition=Partition((1,))),
+            "n must be an integer in [1, 64], got True",
+        ),
+        (
+            lambda: TypeSpec(2, Partition((2,)), seed=True),
+            "seed must be an unsigned 64-bit integer",
+        ),
+        (
+            lambda: TypeSpec(2, Partition((2,)), seed=False),
+            "seed must be an unsigned 64-bit integer",
+        ),
+    ],
+    ids=["parts True", "a part False", "n True", "seed True", "seed False"],
+)
+def test_bools_are_not_integers(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_the_integers_that_bools_stood_for_still_generate():
+    basis = generate_from_type(TypeSpec(2, Partition((1, 1)), seed=1))
+    assert basis.meta["seed"] == 1 and basis.meta["partition"] == "1+1"
+    assert generate_from_type(TypeSpec(1, Partition((1,)), seed=0)).n == 1
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        [[np.nan], [0.0]],
+        [[1.0, 0.0], [0.0, np.nan]],
+        [[np.nan + 1j], [0.0]],
+        [[np.inf], [0.0]],
+        [[1.0, np.inf], [0.0, 1.0]],
+        [[-np.inf], [np.inf]],
+    ],
+    ids=["nan line", "nan in a plane", "nan real part", "inf line", "inf in a plane", "infs"],
+)
+def test_subspace_rejects_a_non_finite_basis(basis):
+    # numpy may warn on an inf in the Gram product; the verdict is what is pinned here
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError) as exc:
+        Subspace(len(basis), basis)
+    assert str(exc.value) == "basis columns are not orthonormal"
+
+
+@pytest.mark.parametrize(
+    "record, field, bad, message",
+    [
+        (Tolerances(), "eps_rank", 0.1, "eps_rank must lie strictly inside (0, 1e-3), got 0.1"),
+        (LINE, "basis", [[1.0], [1.0]], "basis columns are not orthonormal"),
+        (
+            TypeSpec(2, Partition((2,))),
+            "partition",
+            Partition((1,)),
+            "partition 1 does not sum to n = 2",
+        ),
+    ],
+    ids=["Tolerances", "Subspace", "TypeSpec"],
+)
+def test_replace_runs_the_checks(record, field, bad, message):
+    with pytest.raises(ValueError) as exc:
+        record._replace(**{field: bad})
+    assert str(exc.value) == message
+
+
+def test_replace_builds_the_same_type():
+    tol = DEFAULT_TOL._replace(eps_orth=1e-7)
+    assert type(tol) is Tolerances and tol == Tolerances(eps_orth=1e-7)
+    plane = LINE._replace(basis=[[0.0], [1.0]])
+    assert type(plane) is Subspace and plane.basis.dtype == np.complex128
+    spec = TypeSpec(2, Partition((2,)))._replace(seed=4)
+    assert type(spec) is TypeSpec and spec.seed == 4
+    assert NotAProduct(0.5)._replace(sigma2=0.25) == NotAProduct(0.25)
+
+
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_no_module_imports_dataclasses():
+    """A dataclass compiles its methods on every import of the package."""
+    paths = sorted(Path(prodbase.__file__).parent.rglob("*.py"))
+    assert len(paths) >= 7
+    for path in paths:
+        top_level = {name.partition(".")[0] for name in _imported_modules(path)}
+        assert "dataclasses" not in top_level, path.name

@@ -53,7 +53,7 @@ class ProductBasis:
     """
 
     def __init__(self, n: int, vectors, tol: Tolerances = DEFAULT_TOL, meta=None):
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
         rows = np.array(vectors, dtype=np.complex128, order="C")  # saved as a float64 view
         if rows.shape != (2 * n, 2 * n):

@@ -29,7 +29,7 @@ from .numerics import (
     canonical_phase,
     gram_residual,
 )
-from .partitions import MAX_N, Partition
+from .partitions import Partition, _check_range
 from .product_space import kron, qubit_orthogonal
 
 __all__ = [
@@ -119,11 +119,10 @@ class TypeSpec(_TypeSpec):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        n, seed = self.n, self.seed
-        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_N:
-            raise ValueError(f"n must be an integer in [1, {MAX_N}], got {n!r}")
-        if self.partition.n != n:
-            raise ValueError(f"partition {self.partition} does not sum to n = {n}")
+        _check_range(self.n)
+        if self.partition.n != self.n:
+            raise ValueError(f"partition {self.partition} does not sum to n = {self.n}")
+        seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.subspace_mode not in _SUBSPACE_MODES:
@@ -161,7 +160,7 @@ def _haar_from_rng(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_unitary(d: int, seed: int) -> np.ndarray:
     """A d x d Haar-distributed unitary, deterministic for a fixed seed."""
-    if not isinstance(d, int) or d < 1:
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
     rng = np.random.Generator(np.random.Philox(seed))
     return _haar_from_rng(d, rng)

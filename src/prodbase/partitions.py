@@ -61,7 +61,7 @@ class Partition(tuple):
 
 
 def _check_range(n: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= MAX_N:
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_N:
         raise ValueError(f"n must be an integer in [1, {MAX_N}], got {n!r}")
 
 

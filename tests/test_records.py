@@ -10,10 +10,10 @@ import pytest
 
 import prodbase
 
-from prodbase.analyzer import PairBlock, StructureReport
-from prodbase.generator import FamilyParams, TypeSpec, generate_from_type
+from prodbase.analyzer import PairBlock, ProductBasis, StructureReport
+from prodbase.generator import FamilyParams, TypeSpec, generate_from_type, random_unitary
 from prodbase.numerics import DEFAULT_TOL, Subspace, Tolerances
-from prodbase.partitions import Partition
+from prodbase.partitions import Partition, iter_partitions, partition_count, partitions_of
 from prodbase.product_space import NotAProduct, ProductVector
 
 E0 = np.array([1.0, 0.0], dtype=np.complex128)
@@ -73,8 +73,8 @@ def test_repr(record, text):
 
 @pytest.mark.parametrize("record", [record for record, _ in RECORDS], ids=IDS)
 def test_fields_and_new_attributes_cannot_be_assigned(record):
-    field = {Subspace: "basis", Partition: "parts", StructureReport: "valid"}.get(type(record))
-    for name in (field or next(iter(record.__annotations__)), "extra"):
+    fields = ("parts", "n") if type(record) is Partition else record._fields
+    for name in (*fields, "extra"):
         with pytest.raises(AttributeError):
             setattr(record, name, 1)
 
@@ -290,6 +290,22 @@ def test_bools_are_not_integers(make, message):
     with pytest.raises(ValueError) as exc:
         make()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("count", [partition_count, partitions_of, iter_partitions])
+def test_bools_are_not_partition_sizes(count):
+    with pytest.raises(ValueError) as exc:
+        count(True)
+    assert str(exc.value) == "n must be an integer in [1, 64], got True"
+
+
+def test_bools_are_not_dimensions():
+    with pytest.raises(ValueError) as exc:
+        ProductBasis(True, np.eye(2))
+    assert str(exc.value) == "n must be a positive integer, got True"
+    with pytest.raises(ValueError) as exc:
+        random_unitary(True, 0)
+    assert str(exc.value) == "dimension must be a positive integer, got True"
 
 
 def test_the_integers_that_bools_stood_for_still_generate():

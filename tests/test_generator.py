@@ -385,3 +385,49 @@ def test_general_mupb_triple_rejects_malformed_g_bases(g_bases, message):
     with pytest.raises(ValueError) as exc:
         named_family(FamilyParams(family="general_mupb_triple", g_bases=g_bases))
     assert str(exc.value) == message
+
+
+MODE_PAIRS = tuple(
+    itertools.product(("identity-blocks", "haar-random"), ("equal-groups", "independent-groups"))
+)
+
+
+def _generated_digest(partitions):
+    """sha256 over the vectors of every partition in every subspace/pair-mode pair."""
+    digest = hashlib.sha256()
+    for seed, (part, (subspace_mode, pair_mode)) in enumerate(
+        itertools.product(partitions, MODE_PAIRS)
+    ):
+        spec = TypeSpec(part.n, part, seed, subspace_mode, pair_mode)
+        digest.update(generate_from_type(spec).vectors.tobytes())
+    return digest.hexdigest()
+
+
+# Digests of the generator's output, taken while it still drew one block at a time.
+def test_generated_bytes_are_pinned_for_every_partition_up_to_6():
+    partitions = [part for n in range(1, 7) for part in partitions_of(n)]
+    assert len(partitions) == 29
+    assert (
+        _generated_digest(partitions)
+        == "4bc9539e3bf2f5217d2c08f934c8ff7ef15bdd073b81cd81734e9161b69396e6"
+    )
+
+
+def test_generated_bytes_are_pinned_at_n64():
+    partitions = [
+        Partition(parts)
+        for parts in ((64,), (32, 32), (8,) * 8, (2, 2, 2, 2) + (1,) * 56, (1,) * 64)
+    ]
+    assert (
+        _generated_digest(partitions)
+        == "552559b3f01f5ddb9770a173dab479b760eb86d80fcdbe8580d09cff19c96519"
+    )
+
+
+def test_random_unitary_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for d in (1, 2, 3, 64):
+        digest.update(random_unitary(d, 11).tobytes())
+    assert (
+        digest.hexdigest() == "fae29f3862f1c999fd7891426be3609f105a2fd05d5235e5b3a019c5b4bdb9f0"
+    )

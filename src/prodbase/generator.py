@@ -4,10 +4,12 @@
 basis in closed form: C^n is split into orthogonal subspaces of the
 prescribed dimensions (coordinate blocks, or column blocks of a Haar unitary
 drawn by QR), and each subspace gets a qubit ray pair from one great circle
-on which all rays and their partners sit pi/(2r) apart.  Nothing searches or
-retries.  `named_family` builds the small catalog
-of fixed bases in d = 4 and d = 6 (including the mutually unbiased triples)
-plus the four-vector set that groups cleanly without being a basis.
+on which all rays and their partners sit pi/(2r) apart.  With independent
+groups each block's A-perp side is turned by its own Haar unitary; the turns
+are drawn block by block in stream order and factored with one stacked QR per
+block size.  Nothing searches or retries.  `named_family` builds the small
+catalog of fixed bases in d = 4 and d = 6 (including the mutually unbiased
+triples) plus the four-vector set that groups cleanly without being a basis.
 
 All randomness flows through counter-based Philox streams keyed by the caller
 seed, so identical inputs reproduce identical bases bit for bit.
@@ -149,13 +151,15 @@ class FamilyParams(NamedTuple):
     g_bases: dict | None = None
 
 
-def _haar_from_rng(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar unitary: QR of iid standard complex Gaussians, with each column's
-    phase fixed by the diagonal of R (Mezzadri, Notices AMS 54, 2007)."""
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+def _haar_from_rng(d: int, rng: np.random.Generator, count: tuple = ()) -> np.ndarray:
+    """A (*count, d, d) stack of Haar unitaries: QR of iid standard complex Gaussians,
+    with each column's phase fixed by the diagonal of R (Mezzadri, Notices AMS 54,
+    2007).  The normals fill one matrix after another, real part then imaginary part,
+    so a stack draws the stream that its unitaries drawn one by one would."""
+    z = rng.standard_normal((*count, 2, d, d))
+    q, r = np.linalg.qr(z[..., 0, :, :] + 1j * z[..., 1, :, :])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def random_unitary(d: int, seed: int) -> np.ndarray:
@@ -186,11 +190,6 @@ def _skew_qubits(r: int, mode: str, rng: np.random.Generator) -> np.ndarray:
     return canonical_phase(rays)
 
 
-def _block_rows(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Rows kron(a, c) for every column c of `cols`."""
-    return np.einsum("i,kj->jik", a, cols).reshape(cols.shape[1], -1)
-
-
 def generate_from_type(spec: TypeSpec, tol: Tolerances = DEFAULT_TOL) -> ProductBasis:
     """Product basis whose classification recovers exactly spec.partition.
 
@@ -199,7 +198,8 @@ def generate_from_type(spec: TypeSpec, tol: Tolerances = DEFAULT_TOL) -> Product
     gets an orthonormal basis for the qubit-a side and either the same basis
     or a Haar-rotated copy for the qubit-a-perp side.  The qubit rays of the
     blocks are great-circle rays (see `_skew_qubits`), so no two blocks can
-    merge; every step is closed-form.
+    merge; every step is closed-form.  The blocks of one size are built in one
+    batch, the sizes in partition order.
     """
     n, parts = spec.n, tuple(spec.partition)
     rng = np.random.Generator(np.random.Philox(spec.seed))
@@ -211,14 +211,20 @@ def generate_from_type(spec: TypeSpec, tol: Tolerances = DEFAULT_TOL) -> Product
     qubit_a = _skew_qubits(len(parts), spec.qubit_mode, rng)
     qubit_p = canonical_phase(np.stack([-qubit_a[:, 1].conj(), qubit_a[:, 0].conj()], axis=1))
 
-    rows = []
-    offsets = np.cumsum((0,) + parts)
-    for a, ap, off, m in zip(qubit_a, qubit_p, offsets, parts):
-        base = frame[:, off : off + m]
-        rows.append(_block_rows(a, base))
+    # block k's m rows kron(a, c) for the columns c of its frame block, then its m rows
+    # kron(a-perp, c) for the same columns, turned by the block's A-perp unitary or not
+    rows = np.empty((2 * n, 2 * n), dtype=np.complex128)
+    block = col = 0
+    for m in dict.fromkeys(parts):  # weakly decreasing: equal parts sit together
+        count = parts.count(m)
+        cols = frame[:, col : col + count * m].reshape(n, count, m).transpose(1, 0, 2)
+        turned = cols
         if spec.pair_mode == "independent-groups":
-            base = base @ _haar_from_rng(m, rng)
-        rows.append(_block_rows(ap, base))
+            turned = cols @ _haar_from_rng(m, rng, (count,))
+        out = rows[2 * col : 2 * (col + count * m)].reshape(count, 2, m, 2, n)
+        np.einsum("ci,ckm->cmik", qubit_a[block : block + count], cols, out=out[:, 0])
+        np.einsum("ci,ckm->cmik", qubit_p[block : block + count], turned, out=out[:, 1])
+        block, col = block + count, col + count * m
 
     meta = {
         "partition": str(spec.partition),
@@ -227,7 +233,7 @@ def generate_from_type(spec: TypeSpec, tol: Tolerances = DEFAULT_TOL) -> Product
         "pair_mode": spec.pair_mode,
         "qubit_mode": spec.qubit_mode,
     }
-    return ProductBasis(n, np.concatenate(rows), tol=tol, meta=meta)
+    return ProductBasis(n, rows, tol=tol, meta=meta)
 
 
 def _basis_from_factors(n: int, pairs, meta=None, tol: Tolerances = DEFAULT_TOL) -> ProductBasis:

@@ -104,6 +104,12 @@ MUB6_FACTORS = (
 )
 
 
+def _check_seed(seed) -> None:
+    """Philox's key range; a bool or None, which Philox would take, is refused."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ValueError("seed must be an unsigned 64-bit integer")
+
+
 class _TypeSpec(NamedTuple):
     n: int
     partition: Partition
@@ -122,18 +128,17 @@ class TypeSpec(_TypeSpec):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         _check_range(self.n)
-        if self.partition.n != self.n:
-            raise ValueError(f"partition {self.partition} does not sum to n = {self.n}")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        partition = Partition(self.partition)  # a tuple of parts becomes a Partition
+        if partition.n != self.n:
+            raise ValueError(f"partition {partition} does not sum to n = {self.n}")
+        _check_seed(self.seed)
         if self.subspace_mode not in _SUBSPACE_MODES:
             raise ValueError(f"subspace_mode must be one of {_SUBSPACE_MODES}")
         if self.pair_mode not in _PAIR_MODES:
             raise ValueError(f"pair_mode must be one of {_PAIR_MODES}")
         if self.qubit_mode not in _QUBIT_MODES:
             raise ValueError(f"qubit_mode must be one of {_QUBIT_MODES}")
-        return self
+        return self if type(self.partition) is Partition else self._replace(partition=partition)
 
 
 class FamilyParams(NamedTuple):
@@ -166,6 +171,7 @@ def random_unitary(d: int, seed: int) -> np.ndarray:
     """A d x d Haar-distributed unitary, deterministic for a fixed seed."""
     if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
+    _check_seed(seed)
     rng = np.random.Generator(np.random.Philox(seed))
     return _haar_from_rng(d, rng)
 

@@ -55,6 +55,24 @@ def test_random_unitary_rejects_bad_dim():
         random_unitary(0, seed=1)
 
 
+@pytest.mark.parametrize(
+    "seed", [None, True, False, -1, 2**64, 1.0], ids=["None", "True", "False", "-1", "2^64", "1.0"]
+)
+def test_random_unitary_takes_the_seeds_that_type_spec_takes(seed):
+    # Philox would take None (an unseeded, unreproducible draw), a bool or 2**64
+    for make in (lambda: random_unitary(2, seed), lambda: TypeSpec(1, Partition((1,)), seed)):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == "seed must be an unsigned 64-bit integer"
+
+
+def test_random_unitary_takes_the_whole_seed_range():
+    for seed in (0, 2**64 - 1):
+        u = random_unitary(3, seed)
+        assert np.array_equal(u, random_unitary(3, seed))
+        assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-12
+
+
 def test_fixed_qubit_states_are_pairwise_skew():
     for a, b in itertools.combinations(FIXED_QUBIT_STATES, 2):
         overlap = abs(inner(a, b))
@@ -361,6 +379,31 @@ def test_general_mupb_triple_rejects_biased_input():
 def test_type_spec_rejects_an_unknown_mode(field, message):
     with pytest.raises(ValueError) as exc:
         TypeSpec(n=2, partition=Partition((2,)), **{field: "other"})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("parts", [(2, 1), [2, 1]], ids=["tuple", "list"])
+def test_type_spec_takes_the_parts_of_a_partition(parts):
+    spec = TypeSpec(n=3, partition=parts)
+    assert type(spec.partition) is Partition and spec == TypeSpec(3, Partition((2, 1)))
+    assert type(spec._replace(partition=(3,)).partition) is Partition
+    expected = generate_from_type(TypeSpec(3, Partition((2, 1))))
+    assert np.array_equal(generate_from_type(spec).vectors, expected.vectors)
+
+
+@pytest.mark.parametrize(
+    "partition, message",
+    [
+        ("2+1", "parts must be positive integers, got '2+1'"),
+        (None, "partition needs at least one part"),
+        ((1, 2), "parts must be weakly decreasing, got (1, 2)"),
+        ((2, 2), "partition 2+2 does not sum to n = 3"),
+    ],
+    ids=["a string", "None", "increasing parts", "another sum"],
+)
+def test_type_spec_rejects_what_is_not_a_partition_of_n(partition, message):
+    with pytest.raises(ValueError) as exc:
+        TypeSpec(n=3, partition=partition)
     assert str(exc.value) == message
 
 

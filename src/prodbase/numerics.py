@@ -146,7 +146,8 @@ class Subspace(_Subspace):
             raise ValueError(f"basis shape {b.shape} does not match ambient dim {ambient_dim}")
         if not 1 <= b.shape[1] <= ambient_dim:
             raise ValueError(f"subspace dimension {b.shape[1]} out of range")
-        if not np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))) <= 1e-6:  # NaN fails too
+        finite = np.isfinite(b).all()  # tested first: an inf warns in the Gram product
+        if not (finite and np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))) <= 1e-6):
             raise ValueError("basis columns are not orthonormal")
         return super().__new__(cls, ambient_dim, b)
 

@@ -313,6 +313,8 @@ def _number_grid(buf, start):
     """The regular JSON array of rows of [re, im] number pairs at buf[start:], if its text
     takes at least _GRID_MIN bytes, as a float64 (rows, cols, 2) array, and the index just
     past it; None for any other text.  `buf` is ASCII with _PAD blank bytes at either end."""
+    if buf.find(b'"', start, start + _GRID_MIN) >= 0:  # a grid holds no '"', and the key
+        return None  # of a member after it opens with one: the grid is short, or no grid
     text = np.frombuffer(buf, np.uint8, offset=start)
     pos = np.flatnonzero((text == 44) | (text == 91) | (text == 93))  # , [ ]
     skeleton = text[pos].tobytes()

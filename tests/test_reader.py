@@ -268,6 +268,23 @@ def test_grid_kernel_reads_only_grids_of_at_least_the_break_even_length():
     assert kernel_grid(grid(rows + 1)) is not None
 
 
+def test_grid_kernel_declines_a_short_grid_before_a_key_without_reading_on(tmp_path, monkeypatch):
+    # a g-file of six n = 16 bases: each grid but the last ends before _GRID_MIN bytes,
+    # and the next key follows it
+    text = _g_file_text(16, random_family=True)
+    assert len(text) >= 2 * _GRID_MIN and text.index('"z1"') < _GRID_MIN
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    want = json.loads(text)
+    buf = b" " * _PAD + text.encode() + b" " * _PAD
+    read = lambda *args, **kwargs: pytest.fail("read the text after a short grid")  # noqa: E731
+    monkeypatch.setattr(np, "frombuffer", read)
+    for key in ("z0", "z1", "x0", "x1", "y0"):
+        assert _number_grid(buf, buf.index(b"[[[", buf.index(f'"{key}"'.encode()))) is None
+    monkeypatch.undo()
+    assert prodbase.cli._read_json(path) == want
+
+
 @pytest.mark.parametrize("partition", [(64,), (32, 32), (1,) * 64])
 @pytest.mark.parametrize("subspaces", ["haar-random", "identity-blocks"])
 def test_n64_files_load_through_the_grid_kernel_as_the_reference_loads_them(

@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -573,6 +575,92 @@ def test_classify_text_is_pinned(tmp_path, capsys):
     assert head == f"file: {path}"
     assert re.fullmatch(r"valid: yes \(Gram residual \d\.\d{6}e-1[5-7]\)", valid)
     assert rest == D6_B2_CLASSIFY
+
+
+def _reference_fmt_vec(v) -> str:
+    v = np.ascontiguousarray(np.asarray(v, dtype=np.complex128))
+    return ("(" + ", ".join(["%.6g%+.6gj"] * v.size) + ")") % tuple(v.view(np.float64).tolist())
+
+
+def reference_classify_text(path, n, report, left) -> str:
+    """The stdout of `classify` as the format was first printed: an f-string per block with
+    one `%` per qubit vector, then one `%` per row of B1(n) and of B2(n)."""
+    valid = "yes" if report.valid else "no"
+    lines = [f"file: {path}", f"valid: {valid} (Gram residual {report.gram_residual:.6e})"]
+    lines += [f"  {line}" for line in report.diagnostics]
+    if report.valid:
+        suffix = " (direct product)" if report.is_direct_product else ""
+        lines.append(f"right type: {report.right_type}{suffix}")
+        lines.append(f"left type: {left if left is not None else 'undefined'}")
+        lines.append(f"blocks: r = {report.r}")
+        for idx, blk in enumerate(report.blocks, start=1):
+            lines.append(
+                f"  #{idx} multiplicity {blk.multiplicity}, qubit pair "
+                f"{_reference_fmt_vec(blk.a)} / {_reference_fmt_vec(blk.a_perp)}, "
+                f"subspace dim {blk.subspace.dim}"
+                f"{', groups coincide' if blk.groups_coincide else ''}"
+            )
+        row_fmt = "  (" + ", ".join(["%.6g%+.6gj"] * n) + ")"
+        for name, family in (("B1(n)", report.basis_B1n), ("B2(n)", report.basis_B2n)):
+            lines.append(f"{name}:")
+            lines += [row_fmt % tuple(row) for row in np.array(family).view(np.float64).tolist()]
+    return "".join(line + "\n" for line in lines)
+
+
+def assert_classify_prints_the_reference_text(path):
+    """Run CLI `classify` on `path` and compare its exit code and stdout with the reference
+    rendering of the library's report; returns the report."""
+    basis = load_basis_file(path)
+    report = prodbase.analyzer.classify(basis)
+    text = reference_classify_text(path, basis.n, report, prodbase.analyzer.left_classify(basis))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["classify", str(path)])
+    assert rc == (0 if report.valid else 1)
+    assert out.getvalue() == text
+    return report
+
+
+_MODE_PAIRS = [
+    (subspaces, pairs)
+    for subspaces in ("identity-blocks", "haar-random")
+    for pairs in ("equal-groups", "independent-groups")
+]
+
+
+@pytest.mark.parametrize("modes", _MODE_PAIRS, ids=["-".join(m) for m in _MODE_PAIRS])
+@pytest.mark.parametrize(
+    "n, parts",
+    [(1, (1,)), (64, (64,)), (64, (32, 32)), (64, (2,) * 32), (64, (1,) * 64)],
+    ids=["n=1", "1 block", "2 blocks", "32 blocks", "64 blocks"],
+)
+def test_classify_prints_the_reference_text(tmp_path, n, parts, modes):
+    basis = generate_from_type(TypeSpec(n, parts, 7, *modes))
+    save_basis_file(tmp_path / "b.json", basis)
+    report = assert_classify_prints_the_reference_text(tmp_path / "b.json")
+    assert report.valid and report.r == len(parts)
+
+
+@st.composite
+def _small_specs(draw):
+    n = draw(st.integers(1, 8))
+    partition = draw(st.sampled_from(partitions_of(n)))
+    return TypeSpec(n, partition, draw(st.integers(0, 2**64 - 1)), *draw(st.sampled_from(_MODE_PAIRS)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_specs(), st.sampled_from((0.0, 1e-12, 1e-10, 5e-10)), st.integers(0, 2**32 - 1))
+def test_classify_prints_the_reference_text_for_any_small_basis(tmp_path_factory, spec, kick, seed):
+    """Generated bases, and the same with every vector moved by `kick` in a random direction."""
+    vectors = generate_from_type(spec).vectors
+    rng = np.random.Generator(np.random.Philox(seed))
+    noise = rng.standard_normal(vectors.shape) + 1j * rng.standard_normal(vectors.shape)
+    moved = vectors + kick * noise / np.linalg.norm(noise, axis=1, keepdims=True)
+    basis = ProductBasis(spec.n, moved / np.linalg.norm(moved, axis=1, keepdims=True))
+    path = tmp_path_factory.getbasetemp() / "classify.json"
+    save_basis_file(path, basis)
+    report = assert_classify_prints_the_reference_text(path)
+    assert report.valid or kick > 0.0
 
 
 def _g_file_text():

@@ -1,0 +1,143 @@
+"""Parity of two prodbase source trees on the benchmark's inputs.
+
+    python tools/parity.py BASE NEW
+
+BASE and NEW are source checkouts, each with `src/prodbase`.  The inputs are
+the analyze_mixed and generate_sweep passes of seeds 1-3, built by BASE's
+`perfbench/workloads.py`, so that both trees read the same files.  Each tree
+runs in a fresh interpreter, in a work directory of its own, every operation
+of those passes plus `classify` of every analyze_mixed input file, through its
+`prodbase.cli.main` in process, as the benchmark calls it.  Per call the two
+trees must agree on the exit code, stdout, stderr (with the work directory
+masked) and the sha256 of every file the call wrote.  Prints the call count
+and the first differences; exits 1 on any difference, 2 on a usage error.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (1, 2, 3)
+WORKLOADS = ("analyze_mixed", "generate_sweep")
+MASK = "<work>"
+SHOWN = 10
+
+
+def _stamps(work: Path) -> dict[Path, int]:
+    return {p: p.stat().st_mtime_ns for p in work.rglob("*") if p.is_file()}
+
+
+def _call(cli, argv: list[str], work: Path) -> dict:
+    """One in-process call: its exit code, masked output and the digests of what it wrote."""
+    before = _stamps(work)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        rc = exc.code if isinstance(exc.code, int) else 2
+    except Exception as exc:  # the program raised
+        rc = f"raised {type(exc).__name__}: {exc}"
+    written = {
+        str(p.relative_to(work)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p, stamp in _stamps(work).items()
+        if before.get(p) != stamp
+    }
+    mask = lambda text: text.replace(str(work), MASK)  # noqa: E731
+    return {
+        "call": mask(" ".join(argv)),
+        "rc": rc,
+        "stdout": mask(out.getvalue()),
+        "stderr": mask(err.getvalue()),
+        "written": written,
+    }
+
+
+def worker(tree: str, perfbench: str, work: str) -> None:
+    """Run every call against `tree`'s prodbase and print the records as JSON."""
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(Path(tree) / "src"), perfbench]
+    import numpy as np
+
+    import prodbase.cli as cli
+    from workloads import WORKLOADS as BUILDERS
+
+    if not Path(cli.__file__).resolve().is_relative_to((Path(tree) / "src").resolve()):
+        raise SystemExit(f"prodbase was imported from {cli.__file__}, not from {tree}/src")
+    root, records = Path(work), []
+    for name in WORKLOADS:
+        for seed in SEEDS:
+            here = root / f"{name}-{seed}"
+            here.mkdir(parents=True)
+            ops = BUILDERS[name].build(here, np.random.default_rng(seed))
+            argvs = [op.argv for op in ops]
+            if name == "analyze_mixed":
+                argvs += [["classify", str(path)] for path in sorted(here.glob("*.json"))]
+            records += [_call(cli, argv, root) for argv in argvs]
+    json.dump(records, sys.stdout)
+
+
+def run_tree(tree: Path, perfbench: Path, work: Path) -> list[dict]:
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"  # as the benchmark runs
+    code = "import sys, parity; parity.worker(*sys.argv[1:])"
+    argv = [sys.executable, "-c", code, str(tree), str(perfbench), str(work)]
+    child = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
+    if child.returncode != 0:
+        raise RuntimeError(f"{tree}: the worker exited {child.returncode}:\n{child.stderr}")
+    return json.loads(child.stdout)
+
+
+def _first_change(a: str, b: str) -> str:
+    for k, (x, y) in enumerate(zip(a.splitlines(), b.splitlines()), start=1):
+        if x != y:
+            return f"line {k}: {x!r} vs {y!r}"
+    return f"{len(a.splitlines())} vs {len(b.splitlines())} lines"
+
+
+def differences(base: list[dict], new: list[dict]) -> list[str]:
+    if [r["call"] for r in base] != [r["call"] for r in new]:
+        return ["the two trees ran different calls"]
+    found = []
+    for old, cur in zip(base, new):
+        for field in ("rc", "stdout", "stderr", "written"):
+            if old[field] != cur[field]:
+                detail = (
+                    _first_change(old[field], cur[field])
+                    if field in ("stdout", "stderr")
+                    else f"{old[field]!r} vs {cur[field]!r}"
+                )
+                found.append(f"{old['call']}: {field} differs, {detail}")
+    return found
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: python tools/parity.py BASE NEW", file=sys.stderr)
+        return 2
+    base, new = (Path(arg).resolve() for arg in args)
+    with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
+        runs = [
+            run_tree(tree, base / "perfbench", Path(tmp) / side)
+            for side, tree in (("base", base), ("new", new))
+        ]
+    found = differences(*runs)
+    written = sum(len(r["written"]) for r in runs[0])
+    print(f"parity: {len(runs[0])} calls per tree, {written} files written, {len(found)} differences")
+    for line in found[:SHOWN]:
+        print(f"  {line}")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

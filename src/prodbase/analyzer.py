@@ -21,6 +21,7 @@ from .numerics import (
     DEFAULT_TOL,
     Subspace,
     Tolerances,
+    _Subspace,
     canonical_phase,
     gram_residual,
     inner,  # noqa: F401  unused; perfbench's tracer self-test patches it here
@@ -105,15 +106,15 @@ class _Factors(NamedTuple):
 class PairBlock(NamedTuple):
     """One antipodal block of the decomposition.
 
-    The qubit pair (a, a_perp) spans C^2; group_A and group_Aperp are the
-    qudit factors attached to each side, both orthonormal bases of the same
-    `subspace` of C^n with `multiplicity` elements.
+    The qubit pair (a, a_perp) spans C^2; group_A and group_Aperp hold the
+    qudit factors attached to each side as (multiplicity, n) arrays, their rows
+    orthonormal bases of the same `subspace` of C^n.
     """
 
     a: np.ndarray
     a_perp: np.ndarray
-    group_A: tuple[np.ndarray, ...]
-    group_Aperp: tuple[np.ndarray, ...]
+    group_A: np.ndarray
+    group_Aperp: np.ndarray
     subspace: Subspace
     multiplicity: int
     a_indices: tuple[int, ...] = ()
@@ -128,8 +129,8 @@ class StructureReport(NamedTuple):
     gram_residual: float
     blocks: tuple[PairBlock, ...] = ()
     right_type: Partition | None = None
-    basis_B1n: tuple[np.ndarray, ...] = ()
-    basis_B2n: tuple[np.ndarray, ...] = ()
+    basis_B1n: np.ndarray | tuple = ()
+    basis_B2n: np.ndarray | tuple = ()
     is_direct_product: bool = False
     diagnostics: tuple[str, ...] = ()
 
@@ -308,60 +309,65 @@ def classify(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> StructureRep
         return failed(str(exc))
 
     # The report names the first failing block in class order, at its first failing
-    # check: cardinality, group A, group A-perp, span.  Blocks of one size are
-    # checked together.
+    # check: cardinality, group A, group A-perp, span.  Blocks of one size are checked
+    # together, on the rows of B1(n) and B2(n): larger blocks first, then class order.
     pairs = [(classes[c], classes[e]) for c, e in enumerate(partner.tolist()) if c < e]
-    faults, sizes, blocks, overlaps = {}, {}, [], factors.qudit_overlaps
+    faults, sizes, overlaps, n = {}, {}, factors.qudit_overlaps, basis.n
     for j, (idx_a, idx_p) in enumerate(pairs):
         if len(idx_a) != len(idx_p):
             faults[j] = f"paired ray classes {idx_a} and {idx_p} have unequal cardinalities"
         else:
             sizes.setdefault(len(idx_a), []).append(j)
-    for m, js in sizes.items():
-        ia, ip = (np.array([pairs[j][side] for j in js]) for side in (0, 1))
+    runs = [(m, sizes[m]) for m in sorted(sizes, reverse=True)]
+    sides = [[k for _, js in runs for j in js for k in pairs[j][side]] for side in (0, 1)]
+    sides = np.array(sides, dtype=np.intp)
+    families = factors.qudits[sides]
+    families.flags.writeable = False
+    stacks, blocks, start = [], [], 0
+    for m, js in runs:
+        stop = start + m * len(js)
+        ia, ip = sides[:, start:stop].reshape(2, len(js), m)
+        group_a, group_p = families[:, start:stop].reshape(2, len(js), m, n)
         gram = (np.abs(overlaps[i[:, :, None], i[:, None]] - np.eye(m)) for i in (ia, ip))
-        res_a, res_p = (g.max(axis=(1, 2)).tolist() for g in gram)
-        group_a, group_p = factors.qudits[ia], factors.qudits[ip]
-        # where group A passes its Gram check, QR's Q spans it with full rank
+        res_a, res_p = (g.max(axis=(1, 2)) for g in gram)
+        # Q is orthonormal to roundoff (Householder), so its Subspace skips the public
+        # check; where group A passes its Gram check, Q spans it with full rank
         q = np.linalg.qr(group_a.transpose(0, 2, 1))[0].transpose(0, 2, 1)
-        q = canonical_phase(q.reshape(-1, basis.n)).reshape(q.shape).transpose(0, 2, 1)
-        far = (_span_distance(q, group_p) > np.sqrt(2.0 * m) * tol.eps_orth).tolist()
+        q = canonical_phase(q.reshape(-1, n)).reshape(q.shape).transpose(0, 2, 1)
+        q.flags.writeable = False
+        far = _span_distance(q, group_p) > np.sqrt(2.0 * m) * tol.eps_orth
+        for t in np.flatnonzero((res_a > tol.eps_orth) | (res_p > tol.eps_orth) | far)[:1]:
+            idx_a = pairs[js[t]][0]
+            name, res = ("A", res_a[t]) if res_a[t] > tol.eps_orth else ("A-perp", res_p[t])
+            faults[js[t]] = (
+                f"qudit group {name} of block {idx_a} is not orthonormal (residual {res:.6e})"
+                if res > tol.eps_orth
+                else f"qudit groups of block {idx_a} do not span one "
+                f"common subspace of dimension {m}"
+            )
         # the groups coincide as sets of rays when their near-parallel pairs form a permutation
         parallel = overlaps[ia[:, :, None], ip[:, None]] >= 1.0 - tol.eps_ray
         same = ((parallel.sum(axis=1) == 1) & (parallel.sum(axis=2) == 1)).all(axis=1).tolist()
-        for t, j in enumerate(js):
-            idx_a, idx_p = pairs[j]
-            name, res = ("A", res_a[t]) if res_a[t] > tol.eps_orth else ("A-perp", res_p[t])
-            if res > tol.eps_orth:
-                faults[j] = (
-                    f"qudit group {name} of block {idx_a} is not orthonormal (residual {res:.6e})"
-                )
-            elif far[t]:
-                faults[j] = (
-                    f"qudit groups of block {idx_a} do not span one "
-                    f"common subspace of dimension {m}"
-                )
-            a, a_perp = factors.qubits[idx_a[0]], factors.qubits[idx_p[0]]
-            groups, span = (tuple(group_a[t]), tuple(group_p[t])), Subspace(basis.n, q[t])
-            blocks.append(PairBlock(a, a_perp, *groups, span, m, idx_a, idx_p, same[t]))
+        stacks.append((m, js, group_a, group_p, q, same))
+        start = stop
     if faults:
         return failed(faults[min(faults)])
-    blocks.sort(key=lambda blk: (-blk.multiplicity, blk.a_indices[0]))
-    basis_b1 = tuple(v for blk in blocks for v in blk.group_A)
-    basis_b2 = tuple(v for blk in blocks for v in blk.group_Aperp)
-    b1 = [k for blk in blocks for k in blk.a_indices]
-    sides = np.array([b1, [k for blk in blocks for k in blk.a_perp_indices]])
-    gram = np.abs(overlaps[sides[:, :, None], sides[:, None]] - np.eye(basis.n)).max(axis=(1, 2))
+    gram = np.abs(overlaps[sides[:, :, None], sides[:, None]] - np.eye(n)).max(axis=(1, 2))
     for name, res in zip(("B1(n)", "B2(n)"), gram.tolist()):
         if res > tol.eps_orth:
             return failed(f"{name} is not an orthonormal basis of C^n (residual {res:.6e})")
+    for m, js, group_a, group_p, q, same in stacks:
+        for t, (idx_a, idx_p) in enumerate(pairs[j] for j in js):
+            a, a_perp = factors.qubits[idx_a[0]], factors.qubits[idx_p[0]]
+            groups, span = (group_a[t], group_p[t]), _Subspace.__new__(Subspace, n, q[t])
+            blocks.append(PairBlock(a, a_perp, *groups, span, m, idx_a, idx_p, same[t]))
     return StructureReport(
         valid=True,
         gram_residual=residual,
         blocks=tuple(blocks),
         right_type=Partition(tuple(blk.multiplicity for blk in blocks)),
-        basis_B1n=basis_b1,
-        basis_B2n=basis_b2,
+        basis_B1n=families[0],
+        basis_B2n=families[1],
         is_direct_product=(len(blocks) == 1 and blocks[0].groups_coincide),
     )
 

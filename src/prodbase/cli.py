@@ -47,7 +47,7 @@ from .analyzer import (
     verify_orthonormal,
 )
 from .generator import FAMILY_TAGS, FamilyParams, TypeSpec, generate_from_type, named_family
-from .numerics import DEFAULT_TOL, Tolerances, as_vector, check_tolerance
+from .numerics import DEFAULT_TOL, Tolerances, check_tolerance
 from .partitions import MAX_N, Partition, iter_partitions, partition_count, type_count_lower_bound
 
 __all__ = ["main", "load_basis_file", "save_basis_file", "BasisFileError"]
@@ -461,11 +461,6 @@ def load_basis_file(path, tol: Tolerances = DEFAULT_TOL) -> ProductBasis:
     return ProductBasis(n, vectors, tol=tol, meta=meta)
 
 
-def _fmt_vec(v) -> str:
-    v = np.ascontiguousarray(as_vector(v))
-    return ("(" + ", ".join(["%.6g%+.6gj"] * v.size) + ")") % tuple(v.view(np.float64).tolist())
-
-
 def _tolerance(text: str) -> float:
     """argparse type of a tolerance: a float inside the range Tolerances accepts."""
     try:
@@ -531,17 +526,15 @@ def cmd_classify(args) -> int:
     left = left_classify(basis, tol)
     print(f"left type: {left if left is not None else 'undefined'}")
     print(f"blocks: r = {report.r}")
-    for idx, blk in enumerate(report.blocks, start=1):
-        print(
-            f"  #{idx} multiplicity {blk.multiplicity}, qubit pair "
-            f"{_fmt_vec(blk.a)} / {_fmt_vec(blk.a_perp)}, subspace dim {blk.subspace.dim}"
-            f"{', groups coincide' if blk.groups_coincide else ''}"
-        )
-    row_fmt = "  (" + ", ".join(["%.6g%+.6gj"] * basis.n) + ")"
+    z = "%.6g%+.6gj"
+    line = f"  #%d multiplicity %d, qubit pair ({z}, {z}) / ({z}, {z}), subspace dim %d%s"
+    pairs = np.array([(blk.a, blk.a_perp) for blk in report.blocks]).view(np.float64)
+    for idx, (blk, pair) in enumerate(zip(report.blocks, pairs.reshape(-1, 8).tolist()), start=1):
+        coincide = ", groups coincide" if blk.groups_coincide else ""
+        print(line % (idx, blk.multiplicity, *pair, blk.subspace.dim, coincide))
+    table = "\n".join(["  (" + ", ".join([z] * basis.n) + ")"] * basis.n)
     for name, family in (("B1(n)", report.basis_B1n), ("B2(n)", report.basis_B2n)):
-        print(f"{name}:")
-        for row in np.array(family).view(np.float64).tolist():
-            print(row_fmt % tuple(row))
+        print(f"{name}:\n" + table % tuple(family.view(np.float64).ravel().tolist()))
     return 0
 
 

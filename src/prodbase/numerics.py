@@ -141,7 +141,7 @@ class Subspace(_Subspace):
     _make = classmethod(lambda cls, values: cls(*values))
 
     def __new__(cls, ambient_dim: int, basis):
-        b = np.asarray(basis, dtype=np.complex128)
+        b = np.array(basis, dtype=np.complex128)  # a copy, read-only once checked
         if b.ndim != 2 or b.shape[0] != ambient_dim:
             raise ValueError(f"basis shape {b.shape} does not match ambient dim {ambient_dim}")
         if not 1 <= b.shape[1] <= ambient_dim:
@@ -149,6 +149,7 @@ class Subspace(_Subspace):
         finite = np.isfinite(b).all()  # tested first: an inf warns in the Gram product
         if not (finite and np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))) <= 1e-6):
             raise ValueError("basis columns are not orthonormal")
+        b.flags.writeable = False
         return super().__new__(cls, ambient_dim, b)
 
     @property

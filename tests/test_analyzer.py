@@ -537,6 +537,61 @@ def test_checks_share_one_read_only_factorization(monkeypatch):
     assert calls == [12] and "_factors" not in vars(repeated)
 
 
+@st.composite
+def kicked_bases(draw):
+    """Generated bases at n <= 8 in all four mode pairs, every qudit factor moved by up to
+    0.9 eps_orth in a random direction."""
+    n = draw(st.integers(1, 8))
+    spec = TypeSpec(
+        n,
+        draw(st.sampled_from(partitions_of(n))),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.sampled_from(("identity-blocks", "haar-random"))),
+        draw(st.sampled_from(("equal-groups", "independent-groups"))),
+    )
+    factors = generate_from_type(spec)._factors
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32 - 1))))
+    noise = rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n))
+    kick = draw(st.sampled_from((0.0, 0.9))) * draw(st.floats(0.0, 1.0)) * DEFAULT_TOL.eps_orth
+    qudits = factors.qudits + kick * noise / np.linalg.norm(noise, axis=1, keepdims=True)
+    qudits /= np.linalg.norm(qudits, axis=1, keepdims=True)
+    return ProductBasis(n, np.einsum("ki,kj->kij", factors.qubits, qudits).reshape(2 * n, 2 * n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kicked_bases())
+def test_classify_builds_orthonormal_read_only_array_records(basis):
+    report, n = classify(basis), basis.n
+    if not report.valid:
+        assert (report.blocks, report.basis_B1n, report.basis_B2n) == ((), (), ())
+        return
+    arrays = [report.basis_B1n, report.basis_B2n]
+    assert report.basis_B1n.shape == report.basis_B2n.shape == (n, n)
+    for blk in report.blocks:
+        m, q = blk.multiplicity, blk.subspace.basis
+        # the public Subspace check, 1e-6, with a wide margin
+        assert q.shape == (n, m) and np.max(np.abs(q.conj().T @ q - np.eye(m))) <= 1e-12
+        assert blk.group_A.shape == blk.group_Aperp.shape == (m, n)
+        assert len(blk.group_A) == m and all(row.shape == (n,) for row in blk.group_Aperp)
+        assert np.array_equal(blk.group_A[-1], list(blk.group_A)[-1])
+        assert subspace_equal(orthonormalize(blk.group_A), blk.subspace)
+        arrays += [q, blk.group_A, blk.group_Aperp]
+    assert not any(array.flags.writeable for array in arrays)
+
+
+def test_classify_records_cannot_be_written():
+    spec = TypeSpec(n=64, partition=Partition((32, 16, 8, 4, 2, 1, 1)), seed=5)
+    report = classify(generate_from_type(spec))
+    blk = report.blocks[1]
+    kept = [blk.subspace.basis.copy(), blk.group_A.copy(), report.basis_B1n.copy()]
+    views = [blk.subspace.basis, blk.group_A[0], blk.group_Aperp, report.basis_B1n[3]]
+    for array in [*views, report.basis_B2n]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    assert np.array_equal(blk.subspace.basis, kept[0]) and np.array_equal(blk.group_A, kept[1])
+    assert np.array_equal(report.basis_B1n, kept[2])
+
+
 @settings(max_examples=60, deadline=None)
 @given(classify_inputs(), st.integers(0, 2**32 - 1))
 def test_classify_is_invariant_under_local_unitaries_permutations_and_phases(basis, seed):

@@ -332,6 +332,17 @@ def test_subspace_rejects_a_non_finite_basis(basis):
     assert str(exc.value) == "basis columns are not orthonormal"
 
 
+def test_subspace_keeps_a_read_only_copy_of_its_basis():
+    b = np.eye(3, 2, dtype=np.complex128)
+    s = Subspace(3, b)
+    b[:, 0] = 7
+    assert np.array_equal(s.basis, np.eye(3, 2))
+    for t in (s, s._replace(basis=b[:, 1:]), pickle.loads(pickle.dumps(s))):
+        with pytest.raises(ValueError, match="read-only"):
+            t.basis[:] = 0
+    assert np.array_equal(s.basis, np.eye(3, 2))
+
+
 @pytest.mark.parametrize(
     "record, field, bad, message",
     [

@@ -582,7 +582,7 @@ def _reference_fmt_vec(v) -> str:
     return ("(" + ", ".join(["%.6g%+.6gj"] * v.size) + ")") % tuple(v.view(np.float64).tolist())
 
 
-def reference_classify_text(path, n, report, left) -> str:
+def reference_classify_text(path, report, left) -> str:
     """The stdout of `classify` as the format was first printed: an f-string per block with
     one `%` per qubit vector, then one `%` per row of B1(n) and of B2(n)."""
     valid = "yes" if report.valid else "no"
@@ -600,7 +600,7 @@ def reference_classify_text(path, n, report, left) -> str:
                 f"subspace dim {blk.subspace.dim}"
                 f"{', groups coincide' if blk.groups_coincide else ''}"
             )
-        row_fmt = "  (" + ", ".join(["%.6g%+.6gj"] * n) + ")"
+        row_fmt = "  (" + ", ".join(["%.6g%+.6gj"] * len(report.basis_B1n)) + ")"
         for name, family in (("B1(n)", report.basis_B1n), ("B2(n)", report.basis_B2n)):
             lines.append(f"{name}:")
             lines += [row_fmt % tuple(row) for row in np.array(family).view(np.float64).tolist()]
@@ -612,7 +612,7 @@ def assert_classify_prints_the_reference_text(path):
     rendering of the library's report; returns the report."""
     basis = load_basis_file(path)
     report = prodbase.analyzer.classify(basis)
-    text = reference_classify_text(path, basis.n, report, prodbase.analyzer.left_classify(basis))
+    text = reference_classify_text(path, report, prodbase.analyzer.left_classify(basis))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         rc = main(["classify", str(path)])

@@ -72,10 +72,6 @@ class ProductBasis:
         self.vectors = rows
         self.meta = dict(meta or {})
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (2, self.n)
-
     def __len__(self):
         return len(self.vectors)
 

@@ -302,21 +302,14 @@ def _table_family(params: FamilyParams, tol: Tolerances) -> ProductBasis:
     return _basis_from_factors(n, pairs, meta={"family": tag}, tol=tol)
 
 
-def _unbiased_triple(tag: str, tol: Tolerances) -> list[ProductBasis]:
-    """d4_mupb_triple or d6_mub_triple: each basis pairs every column of a qubit
-    factor matrix with every column of a qudit factor matrix."""
-    if tag == "d4_mupb_triple":
-        key = "axis"
-        factors = {axis: (np.array(PAULI_EIGENBASES[axis]).T,) * 2 for axis in "zxy"}
-    else:
-        key = "index"
-        identity = (np.eye(2, dtype=np.complex128), np.eye(3, dtype=np.complex128))
-        factors = dict(enumerate([identity, *MUB6_FACTORS]))
+def _assemble_triple(sides, tag: str, key: str, labels, tol: Tolerances) -> list[ProductBasis]:
+    """Per Pauli axis z, x, y: its plus state with each row of its first qudit basis in
+    `sides`, its minus state with each row of its second, and meta {"family": tag, key: label}."""
     bases = []
-    for label, (f2, fn) in factors.items():
-        n = len(fn)
-        pairs = [(f2[:, j], fn[:, k]) for j in range(2) for k in range(n)]
-        bases.append(_basis_from_factors(n, pairs, meta={"family": tag, key: label}, tol=tol))
+    for axis, label, (g0, g1) in zip("zxy", labels, sides):
+        plus, minus = PAULI_EIGENBASES[axis]
+        pairs = [(plus, v) for v in g0] + [(minus, v) for v in g1]
+        bases.append(_basis_from_factors(len(g0), pairs, meta={"family": tag, key: label}, tol=tol))
     return bases
 
 
@@ -341,12 +334,8 @@ def _general_mupb_triple(params: FamilyParams, tol: Tolerances) -> list[ProductB
         res = gram_residual(g[key])
         if res > tol.eps_orth:
             raise ValueError(f"g_bases[{key!r}] is not orthonormal (residual {res:.6e})")
-    bases = []
-    for label in ("z", "x", "y"):
-        plus, minus = PAULI_EIGENBASES[label]
-        pairs = [(plus, v) for v in g[f"{label}0"]] + [(minus, v) for v in g[f"{label}1"]]
-        meta = {"family": "general_mupb_triple", "axis": label}
-        bases.append(_basis_from_factors(n, pairs, meta=meta, tol=tol))
+    sides = [(g[f"{axis}0"], g[f"{axis}1"]) for axis in "zxy"]
+    bases = _assemble_triple(sides, "general_mupb_triple", "axis", "zxy", tol)
     for i in range(3):
         for j in range(i + 1, 3):
             ok, dev = mu_check(bases[i].vectors, bases[j].vectors, tol)
@@ -385,4 +374,10 @@ def named_family(params: FamilyParams, tol: Tolerances = DEFAULT_TOL):
         zp, xp = qubit_orthogonal(z), qubit_orthogonal(x)
         pairs = [(z, z), (zp, zp), (x, x), (xp, xp)]
         return _basis_from_factors(2, pairs, meta={"family": tag}, tol=tol)
-    return _unbiased_triple(tag, tol)
+    # the general triple on the Pauli eigenbases, or on the identity and MUB6_FACTORS' qudits
+    if tag == "d4_mupb_triple":
+        qudits, key, labels = [np.array(PAULI_EIGENBASES[axis]) for axis in "zxy"], "axis", "zxy"
+    else:
+        qudits = [np.eye(3, dtype=np.complex128), *(f.T for _, f in MUB6_FACTORS)]
+        key, labels = "index", (0, 1, 2)
+    return _assemble_triple([(q, q) for q in qudits], tag, key, labels, tol)

@@ -182,14 +182,19 @@ def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> Subspace:
 
 def _gram_eigenvalue(n0, beta, gamma, sqrt):
     """Larger Gram eigenvalue of the row-triangular form [[n0, 0], [beta, gamma]], on floats
-    or arrays; the discriminant is a sum of non-negative terms, so it never cancels."""
+    or arrays, bit for bit; the discriminant is a sum of non-negative terms, so never cancels."""
     p, b, c = n0 * n0, beta * beta, gamma * gamma
-    return 0.5 * (p + b + c + sqrt((p - c) ** 2 + b * (b + 2.0 * (p + c))))
+    return 0.5 * (p + b + c + sqrt((p - c) * (p - c) + b * (b + 2.0 * (p + c))))
+
+
+def _row_dots(x, y):
+    """<x|y> of the last axes, each summed by the BLAS dot that `np.vdot` calls on one row."""
+    return (x.conj()[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def singular_values_2xn(m) -> tuple[float, float]:
-    """The two singular values (descending) of a finite matrix with 2 rows: the
-    parameterization of `singular_values_2xn_stack` on scalars, by `vdot`."""
+    """The two singular values (descending) of a finite matrix with 2 rows: the bits of
+    `singular_values_2xn_stack`, from its operations on scalars, a cheaper call for one."""
     M = np.asarray(m, dtype=np.complex128)
     if M.ndim != 2 or M.shape[0] != 2:
         raise ValueError(f"expected a matrix with 2 rows, got shape {M.shape}")
@@ -205,7 +210,8 @@ def singular_values_2xn(m) -> tuple[float, float]:
     c2 = complex(np.vdot(u, w))
     w -= c2 * u
     gamma = math.sqrt(float(np.vdot(w, w).real))
-    sigma1 = math.sqrt(_gram_eigenvalue(n0, abs(c1 + c2), gamma, math.sqrt))
+    beta = float(np.abs(c1 + c2))  # numpy's modulus, not Python's: they round differently
+    sigma1 = math.sqrt(_gram_eigenvalue(n0, beta, gamma, math.sqrt))
     return (sigma1, n0 * gamma / sigma1 if sigma1 > 0.0 else 0.0)
 
 
@@ -217,22 +223,23 @@ def singular_values_2xn_stack(ms) -> tuple[np.ndarray, np.ndarray]:
     than on the raw trace/determinant.  The raw determinant cancels
     catastrophically for near-rank-1 input and would floor sigma_2 at
     ~sqrt(machine eps); this form keeps sigma_2 accurate down to ~1e-16.
+    Each matrix gets the bits that `singular_values_2xn` gives it alone.
     """
     M = np.asarray(ms, dtype=np.complex128)
     # squares past the float range come out inf or NaN, and such matrices are rescued below
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(M, axis=2)
+        squares = _row_dots(M, M).real
         # the longer row goes first, so the cross term is taken against it
-        M = np.where((norms[:, 1] > norms[:, 0])[:, None, None], M[:, ::-1], M)
-        n0 = norms.max(axis=1)
+        M = np.where((squares[:, 1] > squares[:, 0])[:, None, None], M[:, ::-1], M)
+        n0 = np.sqrt(squares.max(axis=1))
         r0, r1 = M[:, 0], M[:, 1]
         u = r0 / np.where(n0 > 0.0, n0, 1.0)[:, None]
-        c1 = (u.conj() * r1).sum(axis=1)
+        c1 = _row_dots(u, r1)
         w = r1 - c1[:, None] * u
-        c2 = (u.conj() * w).sum(axis=1)
+        c2 = _row_dots(u, w)
         w = w - c2[:, None] * u
         beta = np.abs(c1 + c2)
-        gamma = np.linalg.norm(w, axis=1)
+        gamma = np.sqrt(_row_dots(w, w).real)
         sigma1 = np.sqrt(_gram_eigenvalue(n0, beta, gamma, np.sqrt))
         sigma2 = np.divide(n0 * gamma, sigma1, out=np.zeros(sigma1.shape), where=sigma1 > 0.0)
     if not np.isfinite(sigma1).all():  # a NaN or inf entry, or squares past the float range

@@ -5,7 +5,7 @@ of ``kron(a, b)`` at index ``k*n + j`` is ``a[k] * b[j]``, so reshaping a
 vector of C^(2n) to a 2 x n matrix recovers the outer product of its factors.
 
 `factorize` does one vector from its scalar Gram entries, `factor_arrays` a stack in one
-batched call: numpy's fixed per-call cost makes each the cheaper one at its own size.
+batched call, each the cheaper at its size for numpy's per-call cost; their sigma_2 is equal.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ def factorize(v, tol: Tolerances = DEFAULT_TOL):
     measured sigma_2 comes back.  Otherwise the dominant singular pair is
     returned as a `ProductVector` with both factors unit and
     phase-canonicalized, and the residual global phase recorded so that
-    ``v == pv.phase * pv.full`` up to roundoff.  It is `factor_arrays` on
-    one row, computed from the Gram entries p, s, q as Python numbers.
+    ``v == pv.phase * pv.full`` up to roundoff.  It is `factor_arrays` on one row
+    from the Gram entries as Python numbers: sigma_2 bit for bit, factors to roundoff.
     """
     v = as_vector(v)
     if v.size % 2 != 0:

@@ -23,6 +23,7 @@ import prodbase.cli
 from prodbase.analyzer import ProductBasis
 from prodbase.cli import BasisFileError, _build_parser, _g17, load_basis_file, main, save_basis_file
 from prodbase.generator import FAMILY_TAGS, FamilyParams, TypeSpec, generate_from_type, named_family
+from prodbase.numerics import DEFAULT_TOL
 from prodbase.partitions import Partition, partition_count, partitions_of
 
 RT2 = math.sqrt(2.0)
@@ -1047,3 +1048,63 @@ def test_written_files_match_golden_digests(tmp_path, capsys):
     got = _grid_digests(tmp_path)
     assert got.keys() == want.keys()
     assert [label for label in want if got[label] != want[label]] == []
+
+
+def _turned(basis, i, j, theta):
+    """`basis` with its rows i and j turned into each other by the angle theta."""
+    rows, (x, y) = basis.vectors.copy(), basis.vectors[[i, j]]
+    c, s = math.cos(theta), math.sin(theta)
+    rows[i], rows[j] = c * x + s * y, c * y - s * x
+    return ProductBasis(basis.n, rows, meta=basis.meta)
+
+
+def _cutoff_pair(basis, i, j):
+    """The two turns of rows i and j that bracket, to the last bit of the angle, the turn at
+    which the shared sigma_2 of row i crosses eps_rank: at or below it, then above it."""
+    def crosses(theta):
+        return _turned(basis, i, j, theta)._factors.sigma2[i] > DEFAULT_TOL.eps_rank
+
+    lo, hi = 0.0, 1e-6
+    while not crosses(hi):
+        lo, hi = hi, 2.0 * hi
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (lo, mid) if crosses(mid) else (mid, hi)
+    return _turned(basis, i, j, lo), _turned(basis, i, j, hi)
+
+
+def _verify_text(tmp_path, capsys, basis):
+    path = tmp_path / "turned.json"
+    save_basis_file(path, basis)
+    rc = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_verify_and_the_shared_factors_name_the_same_rows_at_the_rank_cutoff(tmp_path, capsys):
+    # the one-row kernel behind verify and the batched one behind the shared factors used to
+    # round differently, and so to disagree on rows whose sigma_2 sits at eps_rank
+    split = []
+    for seed in range(60):
+        basis = generate_from_type(TypeSpec(n=6, partition=(3, 2, 1), seed=seed))
+        for turned in _cutoff_pair(basis, 0, 11):
+            marked = [k for k, r in enumerate(prodbase.analyzer.factorize_all(turned)) if not r]
+            rc, out, err = _verify_text(tmp_path, capsys, turned)
+            if marked != np.flatnonzero(turned._factors.sigma2 > DEFAULT_TOL.eps_rank).tolist():
+                split.append((seed, "rows"))
+            if err or "\nresult: " not in out:
+                split.append((seed, "verify"))
+    assert split == []
+
+
+def test_verify_never_counts_a_row_as_a_product_that_the_checks_reject(tmp_path, capsys):
+    # one of these two printed "product vectors: 12/12", then failed with "invalid basis:
+    # vector 7 is not a product state" and no result line
+    basis = generate_from_type(TypeSpec(n=6, partition=(3, 2, 1), seed=4))
+    i, j = np.random.default_rng(4).choice(12, 2, replace=False).tolist()
+    below, above = _cutoff_pair(basis, i, j)
+    rc, out, err = _verify_text(tmp_path, capsys, below)
+    assert (rc, err) == (0, "") and "product vectors: 12/12\n" in out
+    rc, out, err = _verify_text(tmp_path, capsys, above)
+    assert (rc, err) == (1, "")
+    assert f"product vectors: 11/12\n  vector {i}: not a product (sigma2 1.0" in out
+    assert out.endswith("result: not a product basis\n")

@@ -17,6 +17,7 @@ from prodbase.analyzer import (
 from prodbase.generator import (
     FIXED_QUBIT_STATES,
     MUB6_FACTORS,
+    PAULI_EIGENBASES,
     SKEW_MARGIN,
     FamilyParams,
     TypeSpec,
@@ -357,6 +358,24 @@ def test_general_mupb_triple_from_catalog_factors():
     for b1, b2 in itertools.combinations(triple, 2):
         ok, dev = mu_check(list(b1.vectors), list(b2.vectors))
         assert ok and dev < 1e-12
+
+
+@pytest.mark.parametrize(
+    "tag, qudits",
+    [
+        ("d4_mupb_triple", [np.array(PAULI_EIGENBASES[axis]) for axis in "zxy"]),
+        ("d6_mub_triple", [np.eye(3, dtype=complex), MUB6_FACTORS[0][1].T, MUB6_FACTORS[1][1].T]),
+    ],
+)
+def test_a_fixed_triple_is_the_general_triple_on_its_qudit_bases(tag, qudits):
+    # the d = 6 triple's qubit sides are MUB6_FACTORS' columns, which are the Pauli states
+    qubits = [np.array(PAULI_EIGENBASES[axis]).T for axis in "xy"]
+    assert [q.tobytes() for q in qubits] == [f.tobytes() for f, _ in MUB6_FACTORS]
+    g = {f"{axis}{side}": rows for axis, rows in zip("zxy", qudits) for side in "01"}
+    general = named_family(FamilyParams("general_mupb_triple", g_bases=g))
+    fixed = named_family(FamilyParams(tag))
+    assert [b.vectors.tobytes() for b in fixed] == [b.vectors.tobytes() for b in general]
+    assert [b.meta["family"] for b in fixed] == [tag] * 3
 
 
 def test_general_mupb_triple_rejects_biased_input():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from prodbase.numerics import (
     DEFAULT_TOL,
     Tolerances,
+    _gram_eigenvalue,
     canonical_phase,
     gram_residual,
     inner,
@@ -308,3 +309,51 @@ def test_canonical_phase_of_a_vector_is_bit_identical_to_the_row_path(n, seed, k
     elif kind == "scaled":
         v *= 10.0 ** rng.uniform(-300.0, 300.0)
     assert canonical_phase(v).tobytes() == canonical_phase(v[None])[0].tobytes()
+
+
+def _two_row_matrix(rng, n, kind, log_sigma2):
+    """A complex 2 x n matrix: near rank one with sigma_2 about 10**log_sigma2, with a
+    zero row, zero, or near rank one with entries scaled by up to 1e200."""
+    if kind == "zero":
+        return np.zeros((2, n), dtype=complex)
+    a = _random_unit(rng, 2)
+    a_perp = np.array([-a[1].conjugate(), a[0].conjugate()])
+    m = np.outer(a, _random_unit(rng, n))
+    m += 10.0**log_sigma2 * np.outer(a_perp, _random_unit(rng, n))
+    if rng.random() < 1.0 / 3.0:
+        m[rng.integers(0, 2), rng.integers(0, n)] = 0.0
+    if kind == "zero row":
+        m[rng.integers(0, 2)] = 0.0
+    elif kind == "scaled":
+        m *= 10.0 ** rng.uniform(-150.0, 200.0)
+    return m
+
+
+_KINDS = st.sampled_from(("near rank one", "zero row", "zero", "scaled"))
+_LOG_SIGMA2 = st.floats(-17.0, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 2**32 - 1), _KINDS, _LOG_SIGMA2)
+def test_the_one_row_kernel_has_the_bits_of_the_stack_kernel(n, seed, kind, log_sigma2):
+    m = _two_row_matrix(_rng(seed), n, kind, log_sigma2)
+    one_row, stacked = _both_kernels(m)
+    assert one_row == stacked
+
+
+def test_the_gram_eigenvalue_rounds_alike_on_floats_and_on_arrays():
+    # Python's float ** 2 and numpy's square differ on about 1 in 1,000 inputs
+    rng = _rng(0)
+    n0, beta, gamma = rng.random((3, 20000)) * 10.0 ** rng.uniform(-8.0, 0.0, (3, 20000))
+    on_arrays = _gram_eigenvalue(n0, beta, gamma, np.sqrt).tolist()
+    triples = zip(n0.tolist(), beta.tolist(), gamma.tolist())
+    assert [_gram_eigenvalue(*t, math.sqrt) for t in triples] == on_arrays
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 8), st.integers(0, 2**32 - 1), _KINDS, _LOG_SIGMA2)
+def test_a_stack_has_the_bits_of_its_one_row_calls(n, k, seed, kind, log_sigma2):
+    rng = _rng(seed)
+    ms = np.stack([_two_row_matrix(rng, n, kind, log_sigma2) for _ in range(k)])
+    s1, s2 = singular_values_2xn_stack(ms)
+    assert [singular_values_2xn(m) for m in ms] == list(zip(s1.tolist(), s2.tolist()))

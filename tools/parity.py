@@ -9,8 +9,10 @@ runs in a fresh interpreter, in a work directory of its own, every operation
 of those passes plus `classify` of every analyze_mixed input file, through its
 `prodbase.cli.main` in process, as the benchmark calls it.  Per call the two
 trees must agree on the exit code, stdout, stderr (with the work directory
-masked) and the sha256 of every file the call wrote.  Prints the call count
-and the first differences; exits 1 on any difference, 2 on a usage error.
+masked) and the sha256 of every file the call wrote.  Prints the call count,
+the first differences and, when stdout differs, in how many lines and up to
+what magnitude the numbers that differ on them go, so that a roundoff-only
+change reads as one; exits 1 on any difference, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -29,6 +33,7 @@ SEEDS = (1, 2, 3)
 WORKLOADS = ("analyze_mixed", "generate_sweep")
 MASK = "<work>"
 SHOWN = 10
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def _stamps(work: Path) -> dict[Path, int]:
@@ -104,6 +109,27 @@ def _first_change(a: str, b: str) -> str:
     return f"{len(a.splitlines())} vs {len(b.splitlines())} lines"
 
 
+def _size(a: str, b: str) -> tuple[int, float]:
+    """The number of lines in which two texts differ, and the largest magnitude among the
+    numbers that differ on them: inf when the line counts or any other text differ."""
+    old, new = a.splitlines(), b.splitlines()
+    changed = [(x, y) for x, y in zip(old, new) if x != y]
+    largest = 0.0 if len(old) == len(new) else math.inf
+    for x, y in changed:
+        if NUMBER.sub("#", x) != NUMBER.sub("#", y):
+            largest = math.inf
+        for p, q in zip(NUMBER.findall(x), NUMBER.findall(y)):
+            if p != q:
+                largest = max(largest, abs(float(p)), abs(float(q)))
+    return len(changed) + abs(len(old) - len(new)), largest
+
+
+def _says(lines: int, largest: float) -> str:
+    if largest == math.inf:
+        return f"{lines} lines differ, not only in numbers"
+    return f"{lines} lines differ, in numbers up to {largest:.3g} in magnitude"
+
+
 def differences(base: list[dict], new: list[dict]) -> list[str]:
     if [r["call"] for r in base] != [r["call"] for r in new]:
         return ["the two trees ran different calls"]
@@ -112,12 +138,25 @@ def differences(base: list[dict], new: list[dict]) -> list[str]:
         for field in ("rc", "stdout", "stderr", "written"):
             if old[field] != cur[field]:
                 detail = (
-                    _first_change(old[field], cur[field])
+                    f"{_says(*_size(old[field], cur[field]))}, first "
+                    f"{_first_change(old[field], cur[field])}"
                     if field in ("stdout", "stderr")
                     else f"{old[field]!r} vs {cur[field]!r}"
                 )
                 found.append(f"{old['call']}: {field} differs, {detail}")
     return found
+
+
+def stdout_size(base: list[dict], new: list[dict]) -> str | None:
+    """How far the stdout of the calls differs across a whole run, or None where it is equal."""
+    if [r["call"] for r in base] != [r["call"] for r in new]:
+        return None
+    sizes = [_size(old["stdout"], cur["stdout"]) for old, cur in zip(base, new)]
+    sizes = [size for size in sizes if size[0]]
+    if not sizes:
+        return None
+    lines, largest = sum(lines for lines, _ in sizes), max(largest for _, largest in sizes)
+    return f"stdout of {len(sizes)} calls: {_says(lines, largest)}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -136,6 +175,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"parity: {len(runs[0])} calls per tree, {written} files written, {len(found)} differences")
     for line in found[:SHOWN]:
         print(f"  {line}")
+    if size := stdout_size(*runs):
+        print(size)
     return 1 if found else 0
 
 

@@ -33,9 +33,11 @@ __all__ = [
     "ProductBasis",
     "PairBlock",
     "StructureReport",
+    "VerifyReport",
     "factorize_all",
     "verify_orthonormal",
     "verify_product_basis",
+    "verify_report",
     "check_pairwise_condition",
     "check_groupable",
     "classify",
@@ -135,13 +137,23 @@ class StructureReport(NamedTuple):
         return len(self.blocks)
 
 
-def factorize_all(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> list:
-    """Factorize every basis vector, one `factorize` call each; the checks below
-    share the basis' one batched factorization instead.
+class VerifyReport(NamedTuple):
+    """Outcome of `verify_report`: the verdict, its phrase, what it rests on and a ProductVector
+    or NotAProduct per vector; `pairwise` and `groupable` are None unless all are products."""
 
-    Returns, per vector, a ProductVector or a NotAProduct marker carrying the
-    measured sigma_2.  Orthonormality is not required.
-    """
+    valid: bool
+    result: str
+    gram_residual: float
+    orthonormal: bool
+    factorizations: tuple = ()
+    pairwise: bool | None = None
+    groupable: bool | None = None
+
+
+def factorize_all(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> list:
+    """Factorize every basis vector, one `factorize` call each, into a ProductVector or a
+    NotAProduct marker carrying the measured sigma_2; orthonormality is not required.  The
+    checks below share the basis' one batched factorization instead."""
     return [factorize(v, tol) for v in basis.vectors]
 
 
@@ -152,14 +164,25 @@ def verify_orthonormal(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> tu
 
 
 def verify_product_basis(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL):
-    """Orthonormality plus product-ness of every vector.
+    """`verify_report`'s verdict and its per-vector results, as (ok, [ProductVector or
+    NotAProduct carrying the measured sigma_2, ...])."""
+    report = verify_report(basis, tol)
+    return (report.valid, list(report.factorizations))
 
-    Returns (ok, per_vector_results) where each result is a ProductVector or
-    a NotAProduct marker carrying the measured sigma_2.
-    """
-    ok_orth, _ = verify_orthonormal(basis, tol)
-    results = factorize_all(basis, tol)
-    return (ok_orth and all(results), results)
+
+def verify_report(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> VerifyReport:
+    """Verify's verdict: valid when the vectors are orthonormal and every one is a product.
+    The pairwise and grouping checks run only when every vector is one, and never decide it."""
+    orthonormal, residual = verify_orthonormal(basis, tol)
+    rows = tuple(factorize_all(basis, tol))
+    if not all(rows):
+        return VerifyReport(False, "not a product basis", residual, orthonormal, rows)
+    pairwise, groupable = check_pairwise_condition(basis, tol), check_groupable(basis, tol)
+    if orthonormal:
+        result = "valid orthonormal product basis"
+    else:
+        result = "groupable but not orthonormal" if groupable else "not an orthonormal basis"
+    return VerifyReport(orthonormal, result, residual, orthonormal, rows, pairwise, groupable)
 
 
 def _product_factors(basis: ProductBasis, tol: Tolerances) -> _Factors:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import math
 import time
@@ -22,7 +24,8 @@ from prodbase.analyzer import (
     verify_orthonormal,
     verify_product_basis,
 )
-from prodbase.generator import FamilyParams, TypeSpec, generate_from_type, named_family
+from prodbase.cli import load_basis_file, main, save_basis_file
+from prodbase.generator import FAMILY_TAGS, FamilyParams, TypeSpec, generate_from_type, named_family
 from prodbase.numerics import (
     DEFAULT_TOL,
     Subspace,
@@ -773,3 +776,79 @@ def test_mu_check_rejects_families_of_different_sizes():
     with pytest.raises(ValueError) as exc:
         mu_check(np.eye(2), np.eye(3))
     assert str(exc.value) == "not-a-basis: the two families have different sizes"
+
+
+def _verify_lines(report) -> list[str]:
+    """What CLI `verify` prints after its `dims:` line, from a VerifyReport's fields alone."""
+    yes, rows = ("no", "yes"), report.factorizations
+    lines = [
+        f"orthonormal: {yes[bool(report.orthonormal)]} (Gram residual {report.gram_residual:.6e})",
+        f"product vectors: {sum(map(bool, rows))}/{len(rows)}",
+    ]
+    lines += [f"  vector {k}: not a product (sigma2 {r.sigma2:.6e})" for k, r in enumerate(rows) if not r]
+    if report.pairwise is not None:
+        lines.append(f"pairwise factor orthogonality: {yes[bool(report.pairwise)]}")
+        lines.append(f"groupable into subsystem bases: {yes[bool(report.groupable)]}")
+    return lines + [f"result: {report.result}"]
+
+
+def _verify_renders_its_report(basis, work) -> str:
+    """CLI `verify` of `basis` saved to a file prints `verify_report` of what it reads and
+    exits by its `valid`; returns the result phrase."""
+    path = work / "basis.json"
+    save_basis_file(path, basis)
+    report = analyzer.verify_report(load_basis_file(path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["verify", str(path)])
+    lines = out.getvalue().splitlines()
+    assert (rc, err.getvalue()) == (0 if report.valid else 1, "")
+    assert lines[:2] == [f"file: {path}", f"dims: 2 x {basis.n} (d = {2 * basis.n})"]
+    assert lines[2:] == _verify_lines(report)
+    # verify's rule: orthonormal and every vector a product; the other checks name the failure
+    products = all(report.factorizations)
+    assert report.valid == (report.orthonormal and products)
+    assert (report.pairwise is None) == (report.groupable is None) == (not products)
+    if not report.valid:
+        why = "groupable but not orthonormal" if report.groupable else "not an orthonormal basis"
+        assert report.result == (why if products else "not a product basis")
+    assert verify_product_basis(basis)[0] == analyzer.verify_report(basis).valid
+    return report.result
+
+
+def test_cli_verify_renders_verify_report_on_the_catalog(tmp_path):
+    # the three mutually unbiased bases of C^2, each for both of its keys
+    mubs = {"z": np.eye(2), "x": [PLUS, MINUS], "y": [[1 / RT2, 1j / RT2], [1 / RT2, -1j / RT2]]}
+    g_bases = {key + side: np.array(mubs[key], dtype=complex) for key in mubs for side in "01"}
+    bases = [bell_completion_basis(), ProductBasis(2, [kron(PLUS, KET0)] * 4)]
+    for tag in FAMILY_TAGS:
+        params = FamilyParams(tag, g_bases=g_bases if tag == "general_mupb_triple" else None)
+        family = named_family(params)
+        bases += family if isinstance(family, list) else [family]
+    phrases = [_verify_renders_its_report(basis, tmp_path) for basis in bases]
+    assert phrases[:2] == ["not a product basis", "not an orthonormal basis"]
+    assert phrases.count("groupable but not orthonormal") == 1  # counterexample_1_4
+    assert set(phrases[2:]) == {"valid orthonormal product basis", "groupable but not orthonormal"}
+
+
+@st.composite
+def entangled_swaps(draw):
+    """A kicked basis with two of its rows turned into each other by an angle from 1e-12 (a
+    product, below the rank cutoff) to pi / 2 (a swap), through entangled rows."""
+    basis = draw(kicked_bases())
+    i, j = draw(st.permutations(range(2 * basis.n)))[:2]
+    theta = math.pi / 2 * 10.0 ** draw(st.floats(-12.0, 0.0))
+    rows, (x, y) = basis.vectors.copy(), basis.vectors[[i, j]]
+    rows[i], rows[j] = math.cos(theta) * x + math.sin(theta) * y, math.cos(theta) * y - math.sin(theta) * x
+    return ProductBasis(basis.n, rows)
+
+
+def _grouping_basis(case) -> ProductBasis:
+    n, qubits, qudits = case
+    return ProductBasis(n, [kron(a, b) for a, b in zip(qubits, qudits)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(kicked_bases(), entangled_swaps(), grouping_inputs().map(_grouping_basis)))
+def test_cli_verify_renders_verify_report_on_drawn_bases(tmp_path_factory, basis):
+    _verify_renders_its_report(basis, tmp_path_factory.mktemp("verify"))

@@ -19,9 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prodbase.analyzer
+import prodbase.basisfile
 import prodbase.cli
 from prodbase.analyzer import ProductBasis
-from prodbase.cli import BasisFileError, _build_parser, _g17, load_basis_file, main, save_basis_file
+from prodbase.basisfile import _g17
+from prodbase.cli import BasisFileError, _build_parser, load_basis_file, main, save_basis_file
 from prodbase.generator import FAMILY_TAGS, FamilyParams, TypeSpec, generate_from_type, named_family
 from prodbase.numerics import DEFAULT_TOL
 from prodbase.partitions import Partition, partition_count, partitions_of
@@ -260,17 +262,18 @@ def test_no_command_reports_an_error_itself():
 
 
 def test_only_read_json_parses_json():
-    # basis files and g-files share one reading path
-    tree = ast.parse(Path(prodbase.cli.__file__).read_text())
-    readers = set()
-    for func in tree.body:
-        if isinstance(func, ast.FunctionDef):
-            for node in ast.walk(func):
-                if isinstance(node, ast.Name) and node.id in ("_SCAN", "_number_grid"):
-                    readers.add(func.name)
-                if isinstance(node, ast.Attribute) and node.attr in ("loads", "JSONObject"):
-                    readers.add(func.name)
-    assert readers == {"_read_json"}
+    # basis files and g-files share one reading path, in the format's module; no command parses
+    for module, parsers in ((prodbase.basisfile, {"_read_json"}), (prodbase.cli, set())):
+        tree = ast.parse(Path(module.__file__).read_text())
+        readers = set()
+        for func in tree.body:
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Name) and node.id in ("_SCAN", "_number_grid"):
+                        readers.add(func.name)
+                    if isinstance(node, ast.Attribute) and node.attr in ("loads", "JSONObject"):
+                        readers.add(func.name)
+        assert readers == parsers, module.__name__
 
 
 def test_family_unknown_tag(capsys):

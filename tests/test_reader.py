@@ -15,17 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import prodbase.cli
+import prodbase.basisfile
 from prodbase.analyzer import ProductBasis
-from prodbase.cli import (
-    _GRID_MIN,
-    _PAD,
-    BasisFileError,
-    _number_grid,
-    load_basis_file,
-    main,
-    save_basis_file,
-)
+from prodbase.basisfile import _GRID_MIN, _PAD, _number_grid
+from prodbase.cli import BasisFileError, load_basis_file, main, save_basis_file
 from prodbase.generator import TypeSpec, generate_from_type
 from prodbase.numerics import DEFAULT_TOL, Tolerances
 from prodbase.partitions import Partition
@@ -236,21 +229,21 @@ def test_grid_kernel_rounds_ties_and_near_ties_as_json_does():
     ],
 )
 def test_grid_kernel_declines_what_is_not_a_regular_grid_of_numbers(monkeypatch, text):
-    monkeypatch.setattr(prodbase.cli, "_GRID_MIN", 1)
+    monkeypatch.setattr(prodbase.basisfile, "_GRID_MIN", 1)
     assert kernel_grid(text) is None
 
 
 def test_grid_kernel_reads_short_tokens_exponents_and_blanks_in_bulk(monkeypatch):
     # a fallback to float() would be exact too; these must not need it
     oks = []
-    real = prodbase.cli._numbers
+    real = prodbase.basisfile._numbers
 
     def counted(*args):
         got = real(*args)
         oks.append(got[1])
         return got
 
-    monkeypatch.setattr(prodbase.cli, "_numbers", counted)
+    monkeypatch.setattr(prodbase.basisfile, "_numbers", counted)
     tokens = ["1e5", "2", "-0", "1.5E-7", "0", "7", "-3.25e+2", "0.5"] * 400
     text = grid_text(tokens, cols=8, sep=" , ").replace("]", " ]")
     assert_kernel_reads_as_json(text)
@@ -282,7 +275,7 @@ def test_grid_kernel_declines_a_short_grid_before_a_key_without_reading_on(tmp_p
     for key in ("z0", "z1", "x0", "x1", "y0"):
         assert _number_grid(buf, buf.index(b"[[[", buf.index(f'"{key}"'.encode()))) is None
     monkeypatch.undo()
-    assert prodbase.cli._read_json(path) == want
+    assert prodbase.basisfile._read_json(path) == want
 
 
 @pytest.mark.parametrize("partition", [(64,), (32, 32), (1,) * 64])
@@ -293,9 +286,9 @@ def test_n64_files_load_through_the_grid_kernel_as_the_reference_loads_them(
     path = tmp_path / "b.json"
     save_basis_file(path, generate_from_type(TypeSpec(64, Partition(partition), 3, subspaces)))
     grids = []
-    real = prodbase.cli._number_grid
+    real = prodbase.basisfile._number_grid
     counted = lambda *args: grids.append(real(*args)) or grids[-1]  # noqa: E731
-    monkeypatch.setattr(prodbase.cli, "_number_grid", counted)
+    monkeypatch.setattr(prodbase.basisfile, "_number_grid", counted)
     assert outcome(load_basis_file, path) == outcome(reference_load_basis_file, path)
     assert len(grids) == 1 and grids[0] is not None
 
@@ -466,7 +459,7 @@ def test_fuzzed_g_files_exit_0_1_or_2(tmp_path_factory, n, ops, seed):
     except BasisFileError as exc:
         want = str(exc)
     try:
-        got = prodbase.cli._read_json(path)
+        got = prodbase.basisfile._read_json(path)
     except BasisFileError as exc:
         got = str(exc)
     # the same content, a grid read in bulk holding the floats of its [re, im] pairs
@@ -487,8 +480,8 @@ def test_fuzzed_g_files_exit_0_1_or_2(tmp_path_factory, n, ops, seed):
 
 def test_g_file_families_go_through_the_basis_row_reader(tmp_path, monkeypatch):
     calls = []
-    real = prodbase.cli._complex_rows
-    monkeypatch.setattr(prodbase.cli, "_complex_rows", lambda *a: calls.append(a[2]) or real(*a))
+    real = prodbase.basisfile._complex_rows
+    monkeypatch.setattr(prodbase.basisfile, "_complex_rows", lambda *a: calls.append(a[2]) or real(*a))
     path = tmp_path / "g.json"
     path.write_text(_g_file_text(23).replace("[1.0, 0.0]", "[NaN, 0.0]", 1))
     argv = ["family", "general_mupb_triple", "--g-file", str(path), "--out", str(tmp_path / "t")]

@@ -1,4 +1,4 @@
-"""The nine public record types: construction, repr, immutability, equality,
+"""The ten public record types: construction, repr, immutability, equality,
 hashing, pickling and every validation message."""
 
 import ast
@@ -10,7 +10,7 @@ import pytest
 
 import prodbase
 
-from prodbase.analyzer import PairBlock, ProductBasis, StructureReport
+from prodbase.analyzer import PairBlock, ProductBasis, StructureReport, VerifyReport
 from prodbase.generator import FamilyParams, TypeSpec, generate_from_type, random_unitary
 from prodbase.numerics import DEFAULT_TOL, Subspace, Tolerances
 from prodbase.partitions import Partition, iter_partitions, partition_count, partitions_of
@@ -26,6 +26,7 @@ def _records():
     pv = ProductVector(E0, E1, np.kron(E0, E1))
     block = PairBlock(E0, E1, (E1,), (E1,), LINE, 1)
     report = StructureReport(False, 0.5, diagnostics=("x",))
+    verdict = VerifyReport(False, "not a product basis", 0.5, False, (NotAProduct(0.25),))
     spec = TypeSpec(3, Partition((2, 1)))
     pv_repr = (
         "ProductVector(a=array([1.+0.j, 0.+0.j]), b=array([0.+0.j, 1.+0.j]), "
@@ -48,6 +49,12 @@ def _records():
             report,
             "StructureReport(valid=False, gram_residual=0.5, blocks=(), right_type=None, "
             "basis_B1n=(), basis_B2n=(), is_direct_product=False, diagnostics=('x',))",
+        ),
+        (
+            verdict,
+            "VerifyReport(valid=False, result='not a product basis', gram_residual=0.5, "
+            "orthonormal=False, factorizations=(NotAProduct(sigma2=0.25),), pairwise=None, "
+            "groupable=None)",
         ),
         (
             spec,
@@ -104,6 +111,10 @@ def test_construction_by_position_and_by_keyword_with_the_defaults():
     )
     assert (report.is_direct_product, report.diagnostics, report.r) == (False, (), 0)
     assert StructureReport(True, 0.0, (block, block)).r == 2
+    verdict = VerifyReport(valid=True, result="r", gram_residual=0.0, orthonormal=True)
+    assert (verdict.factorizations, verdict.pairwise, verdict.groupable) == ((), None, None)
+    rows = (NotAProduct(1.0),)
+    assert VerifyReport(False, "r", 1.0, False, rows, True, False)[4:] == (rows, True, False)
     spec = TypeSpec(n=3, partition=Partition((2, 1)))
     assert (spec.seed, spec.subspace_mode, spec.pair_mode, spec.qubit_mode) == (
         0,
@@ -175,8 +186,9 @@ def test_markers_truth_value():
         NotAProduct(0.75),
         TypeSpec(5, Partition((3, 2)), seed=2**64 - 1, qubit_mode="fixed-list"),
         FamilyParams("d6_B1", unitary_params=(0.6, 0.8j)),
+        VerifyReport(False, "not a product basis", 0.5, True, (NotAProduct(0.75),), None, None),
     ],
-    ids=["Tolerances", "Partition", "NotAProduct", "TypeSpec", "FamilyParams"],
+    ids=["Tolerances", "Partition", "NotAProduct", "TypeSpec", "FamilyParams", "VerifyReport"],
 )
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
 def test_pickle_round_trip(value, protocol):

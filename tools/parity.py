@@ -6,13 +6,14 @@ BASE and NEW are source checkouts, each with `src/prodbase`.  The inputs are
 the analyze_mixed and generate_sweep passes of seeds 1-3, built by BASE's
 `perfbench/workloads.py`, so that both trees read the same files.  Each tree
 runs in a fresh interpreter, in a work directory of its own, every operation
-of those passes plus `classify` of every analyze_mixed input file, through its
-`prodbase.cli.main` in process, as the benchmark calls it.  Per call the two
-trees must agree on the exit code, stdout, stderr (with the work directory
-masked) and the sha256 of every file the call wrote.  Prints the call count,
-the first differences and, when stdout differs, in how many lines and up to
-what magnitude the numbers that differ on them go, so that a roundoff-only
-change reads as one; exits 1 on any difference, 2 on a usage error.
+of those passes plus `classify` of every analyze_mixed input file that no
+operation classifies, through its `prodbase.cli.main` in process, as the
+benchmark calls it.  Per call the two trees must agree on the exit code, stdout,
+stderr (with the work directory masked) and the sha256 of every file the call
+wrote.  Prints the call count, the first differences, each shown as the text
+around its first differing character, and, when stdout differs, in how many
+lines and up to what magnitude the numbers that differ on them go, so that a
+roundoff-only change reads as one; exits 1 on any difference, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ SEEDS = (1, 2, 3)
 WORKLOADS = ("analyze_mixed", "generate_sweep")
 MASK = "<work>"
 SHOWN = 10
+CONTEXT = 32  # characters shown on either side of a line's first difference
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
@@ -85,7 +87,8 @@ def worker(tree: str, perfbench: str, work: str) -> None:
             ops = BUILDERS[name].build(here, np.random.default_rng(seed))
             argvs = [op.argv for op in ops]
             if name == "analyze_mixed":
-                argvs += [["classify", str(path)] for path in sorted(here.glob("*.json"))]
+                sweep = [["classify", str(path)] for path in sorted(here.glob("*.json"))]
+                argvs += [argv for argv in sweep if argv not in argvs]
             records += [_call(cli, argv, root) for argv in argvs]
     json.dump(records, sys.stdout)
 
@@ -105,7 +108,9 @@ def run_tree(tree: Path, perfbench: Path, work: Path) -> list[dict]:
 def _first_change(a: str, b: str) -> str:
     for k, (x, y) in enumerate(zip(a.splitlines(), b.splitlines()), start=1):
         if x != y:
-            return f"line {k}: {x!r} vs {y!r}"
+            i = len(os.path.commonprefix([x, y]))
+            lo, hi = max(i - CONTEXT, 0), i + CONTEXT
+            return f"line {k}, column {i + 1}: {x[lo:hi]!r} vs {y[lo:hi]!r}"
     return f"{len(a.splitlines())} vs {len(b.splitlines())} lines"
 
 

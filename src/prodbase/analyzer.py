@@ -185,22 +185,131 @@ def verify_report(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> VerifyR
     return VerifyReport(orthonormal, result, residual, orthonormal, rows, pairwise, groupable)
 
 
-def _product_factors(basis: ProductBasis, tol: Tolerances) -> _Factors:
-    """The basis' shared factors; ValueError names the first non-product vector."""
-    factors = basis._factors
-    entangled = np.flatnonzero(factors.sigma2 > tol.eps_rank)
-    if entangled.size:
-        k = int(entangled[0])
-        raise ValueError(f"vector {k} is not a product state (sigma2 {factors.sigma2[k]:.6e})")
-    return factors
+class _Stage(NamedTuple):
+    """A decision of `_stages`: whether `value`, measured at `index`, is within `threshold`.
+    A failing stage holds its first failure, the one its diagnostic names, and a passing
+    stage its largest value."""
+
+    name: str
+    value: float | None
+    threshold: float | None
+    index: object
+    passed: bool
+
+
+_PHRASES = {  # the diagnostic of each stage that classify reads, from its failing record
+    "Gram": "not orthonormal: Gram residual {value:.6e} exceeds eps_orth",
+    "product": "vector {index} is not a product state (sigma2 {value:.6e})",
+    "rays": "{index}",  # the message of _ray_classes
+    "cardinality": "paired ray classes {index[0]} and {index[1]} have unequal cardinalities",
+    "group A": "qudit {name} of block {index[0]} is not orthonormal (residual {value:.6e})",
+    "group A-perp": "qudit {name} of block {index[0]} is not orthonormal (residual {value:.6e})",
+    "span": "qudit groups of block {index[0]} do not span one "
+    "common subspace of dimension {index[2]}",
+    "B1(n)": "{name} is not an orthonormal basis of C^n (residual {value:.6e})",
+    "B2(n)": "{name} is not an orthonormal basis of C^n (residual {value:.6e})",
+}
+
+
+def _measured(name: str, values, threshold) -> _Stage:
+    """The stage of `values` against `threshold`, a number or one per value."""
+    values = np.asarray(values)
+    over = values > threshold
+    k = int(over.argmax())
+    if passed := not over.flat[k]:
+        k = int(values.argmax())
+    limit = threshold[k] if isinstance(threshold, np.ndarray) else threshold
+    return _Stage(name, float(values.flat[k]), float(limit), k, passed)
+
+
+def _stages(basis: ProductBasis, tol: Tolerances, names):
+    """The checks as `_Stage` records in a fixed order, each run when its record is read:
+    Gram, product (max sigma_2), pairwise, ray classes and partners, cardinality, then
+    two-colouring, or group A, group A-perp, span, B1(n) and B2(n).  Gram runs when `names`
+    holds it, and a run whose `names` hold pairwise or two-colouring ends there.  A run is
+    read up to its first failing record; one through B2(n) returns the blocks and the
+    read-only rows of B1(n) and B2(n)."""
+    if "Gram" in names:
+        orthonormal, residual = verify_orthonormal(basis, tol)
+        yield _Stage("Gram", residual, tol.eps_orth, None, orthonormal)
+    factors, n = basis._factors, basis.n
+    yield _measured("product", factors.sigma2, tol.eps_rank)
+    if "pairwise" in names:
+        smaller = np.minimum(factors.qubit_overlaps, factors.qudit_overlaps)
+        np.fill_diagonal(smaller, 0.0)
+        yield _measured("pairwise", smaller, tol.eps_orth)
+        return
+    try:
+        classes, partner = _ray_classes(factors.qubit_overlaps, tol)
+    except ValueError as exc:
+        yield _Stage("rays", None, tol.eps_ray, str(exc), False)
+        return
+    yield _Stage("rays", None, tol.eps_ray, None, True)
+    # each block as its A class, its A-perp class and the size of its A class
+    partner = partner.tolist()
+    pairs = [(classes[c], classes[e], len(classes[c])) for c, e in enumerate(partner) if c < e]
+    cardinality = _measured("cardinality", [abs(m - len(p)) for _, p, m in pairs], 0)
+    if "two-colouring" in names:
+        yield cardinality._replace(index=pairs[cardinality.index])
+        meets = factors.qudit_overlaps > tol.eps_orth
+        yield _Stage("two-colouring", None, tol.eps_orth, None, _two_colourable(meets))
+        return
+
+    # The report names the first failing block in class order, at its first failing stage,
+    # so only the blocks before an unequal pair are measured, those of one size together on
+    # the rows of B1(n) and B2(n): larger blocks first, then class order.
+    sizes, overlaps = {}, factors.qudit_overlaps
+    for j, (*_, m) in enumerate(pairs[: None if cardinality.passed else cardinality.index]):
+        sizes.setdefault(m, []).append(j)
+    runs = [(m, sizes[m]) for m in sorted(sizes, reverse=True)]
+    sides = [[k for _, js in runs for j in js for k in pairs[j][side]] for side in (0, 1)]
+    sides = np.array(sides, dtype=np.intp)
+    families = factors.qudits[sides]
+    families.flags.writeable = False
+    measures, stacks, start = np.zeros((3, len(pairs))), [], 0
+    for m, js in runs:
+        stop = start + m * len(js)
+        ia, ip = sides[:, start:stop].reshape(2, len(js), m)
+        group_a, group_p = families[:, start:stop].reshape(2, len(js), m, n)
+        gram = (np.abs(overlaps[i[:, :, None], i[:, None]] - np.eye(m)) for i in (ia, ip))
+        measures[0, js], measures[1, js] = (g.max(axis=(1, 2)) for g in gram)
+        # Q is orthonormal to roundoff (Householder), so its Subspace skips the public
+        # check; where group A passes its Gram check, Q spans it with full rank
+        q = np.linalg.qr(group_a.transpose(0, 2, 1))[0].transpose(0, 2, 1)
+        q = canonical_phase(q.reshape(-1, n)).reshape(q.shape).transpose(0, 2, 1)
+        q.flags.writeable = False
+        measures[2, js] = _span_distance(q, group_p)
+        # the groups coincide as sets of rays when their near-parallel pairs form a permutation
+        parallel = overlaps[ia[:, :, None], ip[:, None]] >= 1.0 - tol.eps_ray
+        same = ((parallel.sum(axis=1) == 1) & (parallel.sum(axis=2) == 1)).all(axis=1).tolist()
+        stacks.append((m, js, group_a, group_p, q, same))
+        start = stop
+    limits = (tol.eps_orth, tol.eps_orth, np.sqrt([2.0 * m for *_, m in pairs]) * tol.eps_orth)
+    checks = [cardinality, *map(_measured, ("group A", "group A-perp", "span"), measures, limits)]
+    checks = [stage._replace(index=pairs[stage.index]) for stage in checks]
+    yield from sorted(checks, key=lambda s: (s.passed, () if s.passed else s.index))
+    gram = np.abs(overlaps[sides[:, :, None], sides[:, None]] - np.eye(n)).max(axis=(1, 2))
+    yield from map(_measured, ("B1(n)", "B2(n)"), gram, (tol.eps_orth,) * 2)
+    blocks = []
+    for m, js, group_a, group_p, q, same in stacks:
+        for t, (idx_a, idx_p, _) in enumerate(pairs[j] for j in js):
+            a, a_perp = factors.qubits[idx_a[0]], factors.qubits[idx_p[0]]
+            groups, span = (group_a[t], group_p[t]), _Subspace.__new__(Subspace, n, q[t])
+            blocks.append(PairBlock(a, a_perp, *groups, span, m, idx_a, idx_p, same[t]))
+    return tuple(blocks), families
+
+
+def _passes(stages) -> bool:
+    """Whether every stage passes; ValueError names the first vector that is not a product."""
+    failed = next((stage for stage in stages if not stage.passed), None)
+    if failed is not None and failed.name == "product":
+        raise ValueError(_PHRASES["product"].format(**failed._asdict()))
+    return failed is None
 
 
 def check_pairwise_condition(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> bool:
     """For every pair i != j, at least one factor overlap vanishes."""
-    factors = _product_factors(basis, tol)
-    smaller = np.minimum(factors.qubit_overlaps, factors.qudit_overlaps)
-    np.fill_diagonal(smaller, 0.0)
-    return bool(np.all(smaller <= tol.eps_orth))
+    return _passes(_stages(basis, tol, ("product", "pairwise")))
 
 
 def _ray_classes(overlap: np.ndarray, tol: Tolerances):
@@ -245,15 +354,19 @@ def _ray_classes(overlap: np.ndarray, tol: Tolerances):
 
 
 def _component_labels(adjacent: np.ndarray) -> np.ndarray:
-    """Each vertex's connected component, labelled by its first vertex: every vertex
-    takes the smallest label among itself and its neighbours until nothing changes,
-    all vertices at once."""
+    """Each vertex's connected component, labelled by its first vertex.  Each round, all
+    vertices at once, a vertex takes the smallest label among itself and its neighbours;
+    until that changes nothing, each vertex then passes its new label to the vertex its old
+    label names, and takes the label of the vertex its new label names.  These two steps keep
+    the rounds near log2 of the vertex count, where the first alone moves a label one edge
+    per round."""
     labels = np.arange(len(adjacent))
     while True:
         smallest = np.minimum(labels, np.where(adjacent, labels, len(labels)).min(axis=1))
         if (smallest == labels).all():
             return labels
-        labels = smallest
+        np.minimum.at(smallest, labels, smallest)
+        labels = smallest[smallest]
 
 
 def _two_colourable(meets: np.ndarray) -> bool:
@@ -284,14 +397,7 @@ def check_groupable(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> bool:
     eps_orth < 1e-3 and n < 1000), hence nonsingular, which is impossible;
     so each colour holds at most n of the 2n vectors, that is exactly n.
     """
-    factors = _product_factors(basis, tol)
-    try:
-        classes, partner = _ray_classes(factors.qubit_overlaps, tol)
-    except ValueError:
-        return False
-    if any(len(classes[c]) != len(classes[e]) for c, e in enumerate(partner)):
-        return False
-    return _two_colourable(factors.qudit_overlaps > tol.eps_orth)
+    return _passes(_stages(basis, tol, ("product", "rays", "cardinality", "two-colouring")))
 
 
 def _span_distance(q: np.ndarray, rows: np.ndarray):
@@ -314,76 +420,20 @@ def classify(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> StructureRep
     valid=False with a diagnostic for the first failing step; the Gram
     residual is reported either way.
     """
-    ok_orth, residual = verify_orthonormal(basis, tol)
-
-    def failed(diagnostic: str) -> StructureReport:
-        return StructureReport(valid=False, gram_residual=residual, diagnostics=(diagnostic,))
-
-    if not ok_orth:
-        return failed(f"not orthonormal: Gram residual {residual:.6e} exceeds eps_orth")
+    stages = _stages(basis, tol, _PHRASES)
+    stage = gram = next(stages)
     try:
-        factors = _product_factors(basis, tol)
-        classes, partner = _ray_classes(factors.qubit_overlaps, tol)
-    except ValueError as exc:
-        return failed(str(exc))
-
-    # The report names the first failing block in class order, at its first failing
-    # check: cardinality, group A, group A-perp, span.  Blocks of one size are checked
-    # together, on the rows of B1(n) and B2(n): larger blocks first, then class order.
-    pairs = [(classes[c], classes[e]) for c, e in enumerate(partner.tolist()) if c < e]
-    faults, sizes, overlaps, n = {}, {}, factors.qudit_overlaps, basis.n
-    for j, (idx_a, idx_p) in enumerate(pairs):
-        if len(idx_a) != len(idx_p):
-            faults[j] = f"paired ray classes {idx_a} and {idx_p} have unequal cardinalities"
-        else:
-            sizes.setdefault(len(idx_a), []).append(j)
-    runs = [(m, sizes[m]) for m in sorted(sizes, reverse=True)]
-    sides = [[k for _, js in runs for j in js for k in pairs[j][side]] for side in (0, 1)]
-    sides = np.array(sides, dtype=np.intp)
-    families = factors.qudits[sides]
-    families.flags.writeable = False
-    stacks, blocks, start = [], [], 0
-    for m, js in runs:
-        stop = start + m * len(js)
-        ia, ip = sides[:, start:stop].reshape(2, len(js), m)
-        group_a, group_p = families[:, start:stop].reshape(2, len(js), m, n)
-        gram = (np.abs(overlaps[i[:, :, None], i[:, None]] - np.eye(m)) for i in (ia, ip))
-        res_a, res_p = (g.max(axis=(1, 2)) for g in gram)
-        # Q is orthonormal to roundoff (Householder), so its Subspace skips the public
-        # check; where group A passes its Gram check, Q spans it with full rank
-        q = np.linalg.qr(group_a.transpose(0, 2, 1))[0].transpose(0, 2, 1)
-        q = canonical_phase(q.reshape(-1, n)).reshape(q.shape).transpose(0, 2, 1)
-        q.flags.writeable = False
-        far = _span_distance(q, group_p) > np.sqrt(2.0 * m) * tol.eps_orth
-        for t in np.flatnonzero((res_a > tol.eps_orth) | (res_p > tol.eps_orth) | far)[:1]:
-            idx_a = pairs[js[t]][0]
-            name, res = ("A", res_a[t]) if res_a[t] > tol.eps_orth else ("A-perp", res_p[t])
-            faults[js[t]] = (
-                f"qudit group {name} of block {idx_a} is not orthonormal (residual {res:.6e})"
-                if res > tol.eps_orth
-                else f"qudit groups of block {idx_a} do not span one "
-                f"common subspace of dimension {m}"
-            )
-        # the groups coincide as sets of rays when their near-parallel pairs form a permutation
-        parallel = overlaps[ia[:, :, None], ip[:, None]] >= 1.0 - tol.eps_ray
-        same = ((parallel.sum(axis=1) == 1) & (parallel.sum(axis=2) == 1)).all(axis=1).tolist()
-        stacks.append((m, js, group_a, group_p, q, same))
-        start = stop
-    if faults:
-        return failed(faults[min(faults)])
-    gram = np.abs(overlaps[sides[:, :, None], sides[:, None]] - np.eye(n)).max(axis=(1, 2))
-    for name, res in zip(("B1(n)", "B2(n)"), gram.tolist()):
-        if res > tol.eps_orth:
-            return failed(f"{name} is not an orthonormal basis of C^n (residual {res:.6e})")
-    for m, js, group_a, group_p, q, same in stacks:
-        for t, (idx_a, idx_p) in enumerate(pairs[j] for j in js):
-            a, a_perp = factors.qubits[idx_a[0]], factors.qubits[idx_p[0]]
-            groups, span = (group_a[t], group_p[t]), _Subspace.__new__(Subspace, n, q[t])
-            blocks.append(PairBlock(a, a_perp, *groups, span, m, idx_a, idx_p, same[t]))
+        while stage.passed:
+            stage = next(stages)
+    except StopIteration as end:
+        blocks, families = end.value
+    else:
+        diagnostic = _PHRASES[stage.name].format(**stage._asdict())
+        return StructureReport(valid=False, gram_residual=gram.value, diagnostics=(diagnostic,))
     return StructureReport(
         valid=True,
-        gram_residual=residual,
-        blocks=tuple(blocks),
+        gram_residual=gram.value,
+        blocks=blocks,
         right_type=Partition(tuple(blk.multiplicity for blk in blocks)),
         basis_B1n=families[0],
         basis_B2n=families[1],

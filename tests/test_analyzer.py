@@ -540,6 +540,63 @@ def test_checks_share_one_read_only_factorization(monkeypatch):
     assert calls == [12] and "_factors" not in vars(repeated)
 
 
+def test_verify_report_leaves_the_factors_unbuilt_when_a_row_is_not_a_product():
+    rows = generate_from_type(TypeSpec(n=6, partition=Partition((3, 2, 1)), seed=2)).vectors.copy()
+    rows[0], rows[11] = (rows[0] + rows[11]) / RT2, (rows[0] - rows[11]) / RT2
+    basis = ProductBasis(6, rows)
+    report = analyzer.verify_report(basis)
+    assert (report.valid, report.result, report.orthonormal) == (False, "not a product basis", True)
+    assert not report.factorizations[0] and report.pairwise is None
+    assert "_factors" not in vars(basis)
+
+
+class _CountingNumpy:
+    """numpy, with a count of `where` calls: `_component_labels` makes one per round."""
+
+    def __init__(self):
+        self.rounds = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def where(self, *args):
+        self.rounds += 1
+        return np.where(*args)
+
+
+def _crafted_chain_basis(n: int) -> ProductBasis:
+    """Qudit factors e_k and e_k + 1e-4 e_(k+1 mod n) (normalized), in reverse order, on
+    qubit factors alternating |0> and |1>: not orthonormal, but every vector is a product,
+    and the graph of the qudit factors' overlaps is one long chain of triangles."""
+    eye = np.eye(n)
+    qudits = [row for k in range(n) for row in (eye[k], eye[k] + 1e-4 * eye[(k + 1) % n])]
+    qudits = [row / np.linalg.norm(row) for row in reversed(qudits)]
+    return ProductBasis(n, [kron((KET0, KET1)[k % 2], row) for k, row in enumerate(qudits)])
+
+
+def test_component_labels_take_a_logarithmic_number_of_rounds(monkeypatch):
+    counting, real, seen = _CountingNumpy(), analyzer._component_labels, []
+
+    def labels_of(adjacent):
+        before = counting.rounds
+        labels = real(adjacent)
+        seen.append((len(adjacent), counting.rounds - before))
+        return labels
+
+    monkeypatch.setattr(analyzer, "np", counting)
+    monkeypatch.setattr(analyzer, "_component_labels", labels_of)
+    rng = np.random.Generator(np.random.Philox(10))
+    for v in (128, 256, 512):
+        path = np.eye(v, k=1, dtype=bool) | np.eye(v, k=-1, dtype=bool)  # least vertex at an end
+        assert not analyzer._component_labels(path).any()
+        order = rng.permutation(v)  # the least vertex anywhere along the path
+        assert not analyzer._component_labels(path[order][:, order]).any()
+    report = analyzer.verify_report(_crafted_chain_basis(64))
+    assert (report.pairwise, report.groupable) == (False, False)
+    assert [v for v, _ in seen[-2:]] == [128, 256]  # the ray classes, the two-colouring
+    assert all(rounds <= math.ceil(math.log2(v)) + 2 for v, rounds in seen)
+
+
 @st.composite
 def kicked_bases(draw):
     """Generated bases at n <= 8 in all four mode pairs, every qudit factor moved by up to

@@ -6,14 +6,16 @@ BASE and NEW are source checkouts, each with `src/prodbase`.  The inputs are
 the analyze_mixed and generate_sweep passes of seeds 1-3, built by BASE's
 `perfbench/workloads.py`, so that both trees read the same files.  Each tree
 runs in a fresh interpreter, in a work directory of its own, every operation
-of those passes plus `classify` of every analyze_mixed input file that no
-operation classifies, through its `prodbase.cli.main` in process, as the
-benchmark calls it.  Per call the two trees must agree on the exit code, stdout,
-stderr (with the work directory masked) and the sha256 of every file the call
-wrote.  Prints the call count, the first differences, each shown as the text
-around its first differing character, and, when stdout differs, in how many
-lines and up to what magnitude the numbers that differ on them go, so that a
-roundoff-only change reads as one; exits 1 on any difference, 2 on a usage error.
+of those passes, `classify` of every analyze_mixed input file that no operation
+classifies, and `verify` and `classify` of every analyze_mixed input file at
+`--tol-orth` 1e-12 and 5e-4, so that verdicts on both sides of a threshold are
+compared, through its `prodbase.cli.main` in process, as the benchmark calls
+it.  Per call the two trees must agree on the exit code, stdout, stderr (with
+the work directory masked) and the sha256 of every file the call wrote.  Prints
+the call count, the first differences, each shown as the text around its first
+differing character, and, when stdout differs, in how many lines and up to what
+magnitude the numbers that differ on them go, so that a roundoff-only change
+reads as one; exits 1 on any difference, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -31,6 +34,7 @@ import tempfile
 from pathlib import Path
 
 SEEDS = (1, 2, 3)
+TOL_ORTH = ("1e-12", "5e-4")  # a tight and a loose orthogonality tolerance
 WORKLOADS = ("analyze_mixed", "generate_sweep")
 MASK = "<work>"
 SHOWN = 10
@@ -87,8 +91,10 @@ def worker(tree: str, perfbench: str, work: str) -> None:
             ops = BUILDERS[name].build(here, np.random.default_rng(seed))
             argvs = [op.argv for op in ops]
             if name == "analyze_mixed":
-                sweep = [["classify", str(path)] for path in sorted(here.glob("*.json"))]
-                argvs += [argv for argv in sweep if argv not in argvs]
+                paths = [str(path) for path in sorted(here.glob("*.json"))]
+                argvs += [argv for argv in (["classify", p] for p in paths) if argv not in argvs]
+                for tol, kind in itertools.product(TOL_ORTH, ("verify", "classify")):
+                    argvs += [[kind, p, "--tol-orth", tol] for p in paths]
             records += [_call(cli, argv, root) for argv in argvs]
     json.dump(records, sys.stdout)
 

@@ -13,6 +13,7 @@ overlap moduli of their qubit factors and of their qudit factors.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -186,9 +187,9 @@ def verify_report(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> VerifyR
 
 
 class _Stage(NamedTuple):
-    """A decision of `_stages`: whether `value`, measured at `index`, is within `threshold`.
-    A failing stage holds its first failure, the one its diagnostic names, and a passing
-    stage its largest value."""
+    """A decision of `_stages` or of `classify`'s Gram check: whether `value`, measured at
+    `index`, is within `threshold`.  A failing stage holds its first failure, the one its
+    diagnostic names, and a passing stage its largest value."""
 
     name: str
     value: float | None
@@ -222,23 +223,14 @@ def _measured(name: str, values, threshold) -> _Stage:
     return _Stage(name, float(values.flat[k]), float(limit), k, passed)
 
 
-def _stages(basis: ProductBasis, tol: Tolerances, names):
-    """The checks as `_Stage` records in a fixed order, each run when its record is read:
-    Gram, product (max sigma_2), pairwise, ray classes and partners, cardinality, then
-    two-colouring, or group A, group A-perp, span, B1(n) and B2(n).  Gram runs when `names`
-    holds it, and a run whose `names` hold pairwise or two-colouring ends there.  A run is
-    read up to its first failing record; one through B2(n) returns the blocks and the
-    read-only rows of B1(n) and B2(n)."""
-    if "Gram" in names:
-        orthonormal, residual = verify_orthonormal(basis, tol)
-        yield _Stage("Gram", residual, tol.eps_orth, None, orthonormal)
+def _stages(basis: ProductBasis, tol: Tolerances):
+    """The checks after Gram as `_Stage` records in a fixed order, each run when its record
+    is read: product (max sigma_2), ray classes and partners, cardinality when it passes,
+    then group A, group A-perp and span, with a failing cardinality among them, B1(n) and
+    B2(n).  A run is read up to its first failing record; one through B2(n) returns the
+    blocks and the read-only rows of B1(n) and B2(n)."""
     factors, n = basis._factors, basis.n
     yield _measured("product", factors.sigma2, tol.eps_rank)
-    if "pairwise" in names:
-        smaller = np.minimum(factors.qubit_overlaps, factors.qudit_overlaps)
-        np.fill_diagonal(smaller, 0.0)
-        yield _measured("pairwise", smaller, tol.eps_orth)
-        return
     try:
         classes, partner = _ray_classes(factors.qubit_overlaps, tol)
     except ValueError as exc:
@@ -249,11 +241,8 @@ def _stages(basis: ProductBasis, tol: Tolerances, names):
     partner = partner.tolist()
     pairs = [(classes[c], classes[e], len(classes[c])) for c, e in enumerate(partner) if c < e]
     cardinality = _measured("cardinality", [abs(m - len(p)) for _, p, m in pairs], 0)
-    if "two-colouring" in names:
+    if cardinality.passed:  # read before any block is measured
         yield cardinality._replace(index=pairs[cardinality.index])
-        meets = factors.qudit_overlaps > tol.eps_orth
-        yield _Stage("two-colouring", None, tol.eps_orth, None, _two_colourable(meets))
-        return
 
     # The report names the first failing block in class order, at its first failing stage,
     # so only the blocks before an unequal pair are measured, those of one size together on
@@ -285,7 +274,8 @@ def _stages(basis: ProductBasis, tol: Tolerances, names):
         stacks.append((m, js, group_a, group_p, q, same))
         start = stop
     limits = (tol.eps_orth, tol.eps_orth, np.sqrt([2.0 * m for *_, m in pairs]) * tol.eps_orth)
-    checks = [cardinality, *map(_measured, ("group A", "group A-perp", "span"), measures, limits)]
+    checks = [*map(_measured, ("group A", "group A-perp", "span"), measures, limits)]
+    checks += [] if cardinality.passed else [cardinality]
     checks = [stage._replace(index=pairs[stage.index]) for stage in checks]
     yield from sorted(checks, key=lambda s: (s.passed, () if s.passed else s.index))
     gram = np.abs(overlaps[sides[:, :, None], sides[:, None]] - np.eye(n)).max(axis=(1, 2))
@@ -299,8 +289,10 @@ def _stages(basis: ProductBasis, tol: Tolerances, names):
     return tuple(blocks), families
 
 
-def _passes(stages) -> bool:
-    """Whether every stage passes; ValueError names the first vector that is not a product."""
+def _passes(basis: ProductBasis, tol: Tolerances, count: int) -> bool:
+    """Whether the first `count` stages pass; ValueError names the first vector that is not
+    a product."""
+    stages = itertools.islice(_stages(basis, tol), count)
     failed = next((stage for stage in stages if not stage.passed), None)
     if failed is not None and failed.name == "product":
         raise ValueError(_PHRASES["product"].format(**failed._asdict()))
@@ -309,7 +301,11 @@ def _passes(stages) -> bool:
 
 def check_pairwise_condition(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> bool:
     """For every pair i != j, at least one factor overlap vanishes."""
-    return _passes(_stages(basis, tol, ("product", "pairwise")))
+    _passes(basis, tol, 1)  # ValueError unless every vector is a product
+    factors = basis._factors
+    smaller = np.minimum(factors.qubit_overlaps, factors.qudit_overlaps)
+    np.fill_diagonal(smaller, 0.0)
+    return _measured("pairwise", smaller, tol.eps_orth).passed
 
 
 def _ray_classes(overlap: np.ndarray, tol: Tolerances):
@@ -397,7 +393,7 @@ def check_groupable(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> bool:
     eps_orth < 1e-3 and n < 1000), hence nonsingular, which is impossible;
     so each colour holds at most n of the 2n vectors, that is exactly n.
     """
-    return _passes(_stages(basis, tol, ("product", "rays", "cardinality", "two-colouring")))
+    return _passes(basis, tol, 3) and _two_colourable(basis._factors.qudit_overlaps > tol.eps_orth)
 
 
 def _span_distance(q: np.ndarray, rows: np.ndarray):
@@ -420,8 +416,8 @@ def classify(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> StructureRep
     valid=False with a diagnostic for the first failing step; the Gram
     residual is reported either way.
     """
-    stages = _stages(basis, tol, _PHRASES)
-    stage = gram = next(stages)
+    orthonormal, residual = verify_orthonormal(basis, tol)
+    stage, stages = _Stage("Gram", residual, tol.eps_orth, None, orthonormal), _stages(basis, tol)
     try:
         while stage.passed:
             stage = next(stages)
@@ -429,10 +425,10 @@ def classify(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> StructureRep
         blocks, families = end.value
     else:
         diagnostic = _PHRASES[stage.name].format(**stage._asdict())
-        return StructureReport(valid=False, gram_residual=gram.value, diagnostics=(diagnostic,))
+        return StructureReport(valid=False, gram_residual=residual, diagnostics=(diagnostic,))
     return StructureReport(
         valid=True,
-        gram_residual=gram.value,
+        gram_residual=residual,
         blocks=blocks,
         right_type=Partition(tuple(blk.multiplicity for blk in blocks)),
         basis_B1n=families[0],

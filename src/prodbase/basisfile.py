@@ -15,7 +15,6 @@ import cmath
 import contextlib
 import json
 import json.decoder
-import json.scanner
 import re
 from pathlib import Path
 
@@ -147,7 +146,8 @@ def save_basis_file(path, basis: ProductBasis) -> None:
 # digits w and a power of ten |q| <= 64 (its value w * 10**q) is rounded by Clinger's fast
 # path when w <= 2**53 and |q| <= 22, and otherwise from an estimate made of two doubles that
 # lies within 2**-103 of the value.  Other tokens, and the rare estimates too near a midpoint
-# between two doubles to round with certainty, go through float() one at a time.
+# between two doubles to round with certainty, are read by float() after one match of json's
+# number grammar over all of them in a block, each followed by a comma.
 # json's C scanner takes a time about proportional to the text, the kernel a fixed time (as
 # much as json takes for about 20 KB) plus a time a number; json is as fast on shorter grids
 _GRID_MIN = 24 * 1024  # bytes
@@ -155,6 +155,7 @@ _PAD = 32  # blank bytes around the text, so that every word read lies inside th
 _GRID_OPEN = re.compile(r"\[[ \t\n\r]*\[[ \t\n\r]*\[")
 _BLANK = json.decoder.WHITESPACE.match
 _SCAN = json.JSONDecoder().scan_once
+_NUMBER_LIST = re.compile(rb"(?:-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?,)*")
 # words with every byte set to one value
 _ZERO_BYTES, _SIXES, _NIBBLES, _HIGHS, _TOPS, _SEVENS, _ABOVE_BLANK, _CASE, _ES = (
     np.uint64(0x0101010101010101 * b) for b in (48, 6, 15, 240, 128, 127, 95, 32, 101)
@@ -312,13 +313,13 @@ def _number_grid(buf, start):
             return None
         out[k], ok, s, t = got
         width += int((t - s).sum())
-        for m in np.flatnonzero(~ok):
-            token = buf[s[m] : t[m]].decode("ascii")
-            match = json.scanner.NUMBER_RE.fullmatch(token)
-            if match is None:
+        slow = np.flatnonzero(~ok)
+        if slow.size:  # one grammar check for all, then float(), or int() as json reads integers
+            tokens = [buf[a:b] for a, b in zip(s[slow].tolist(), t[slow].tolist())]
+            if _NUMBER_LIST.fullmatch(b",".join(tokens) + b",") is None:
                 return None
             try:
-                out[i + m] = float(token if match.group(2) or match.group(3) else int(token))
+                out[i + slow] = [float(x) if x.strip(b"-0123456789") else int(x) for x in tokens]
             except OverflowError:
                 return None
     # every other byte must be JSON whitespace
@@ -359,8 +360,8 @@ def _read_json(path):
         del raw  # a large file is held twice at most: as buf and as text
         text = str(memoryview(buf)[_PAD:-_PAD], "utf-8")
         got, i = None, _BLANK(text, 0).end()
-        plain = text.isascii() and "\r" not in text  # a byte a character, as read_text reads it
-        if len(text) >= _GRID_MIN and plain and text.startswith("{", i):
+        # ASCII, so a byte a character: the walk's offsets in text and in buf differ by _PAD
+        if len(text) >= _GRID_MIN and text.isascii() and text.startswith("{", i):
             with contextlib.suppress(ValueError, RecursionError):  # json.loads gives the message
                 got = json.decoder.JSONObject((text, i + 1), True, scan, None, None)
         if got is not None and _BLANK(text, got[1]).end() == len(text):

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 import prodbase.analyzer as analyzer
@@ -595,6 +595,122 @@ def test_component_labels_take_a_logarithmic_number_of_rounds(monkeypatch):
     assert (report.pairwise, report.groupable) == (False, False)
     assert [v for v, _ in seen[-2:]] == [128, 256]  # the ray classes, the two-colouring
     assert all(rounds <= math.ceil(math.log2(v)) + 2 for v, rounds in seen)
+
+
+def _rounds_over_log2(call, *args) -> int:
+    """The most rounds that a `_component_labels` call made by `call(*args)` takes beyond
+    ceil(log2 V) for its V vertices, reported to Hypothesis, by the name of `call`, as the
+    figure to drive up."""
+    counting, real, excess = _CountingNumpy(), analyzer._component_labels, []
+
+    def labels_of(adjacent):
+        before = counting.rounds
+        labels = real(adjacent)
+        excess.append(counting.rounds - before - math.ceil(math.log2(len(adjacent))))
+        return labels
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analyzer, "np", counting)
+        patch.setattr(analyzer, "_component_labels", labels_of)
+        call(*args)
+    target(float(max(excess)), label=call.__name__)
+    return max(excess)
+
+
+@st.composite
+def labelling_graphs(draw):
+    """A graph of up to 256 vertices, the two-colouring's double cover at n = 64: a forest in
+    which each vertex, in a drawn order, hangs from an earlier one or from none, plus a few
+    drawn edges.  Offsets of 0 make one path, where a label has the farthest to go."""
+    v = draw(st.integers(1, 256))
+    order = np.array(draw(st.permutations(range(v))))
+    offsets = np.array(draw(st.lists(st.integers(0, v), min_size=v, max_size=v)))
+    k = np.arange(v)
+    parent = k - 1 - offsets % (k + 1)
+    tree = np.flatnonzero(parent >= 0)
+    edges = [*zip(order[tree], order[parent[tree]])]
+    edges += draw(st.lists(st.tuples(st.integers(0, v - 1), st.integers(0, v - 1)), max_size=8))
+    adjacent = np.zeros((v, v), dtype=bool)
+    for a, b in edges:
+        adjacent[a, b] = adjacent[b, a] = True
+    return adjacent
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelling_graphs())
+def test_search_finds_no_graph_that_takes_more_than_log2_rounds_plus_2(adjacent):
+    assert _rounds_over_log2(lambda: analyzer._component_labels(adjacent)) <= 2
+
+
+@st.composite
+def chained_bases(draw):
+    """Product bases at n <= 64 whose qudit factors overlap along one chain, as in
+    `_crafted_chain_basis`, with rows in a drawn order.  Their qubit factors alternate |0>
+    and |1>, so that the two-colouring runs, or turn by 1e-4 a row, so that the ray classes
+    chain too."""
+    n = draw(st.integers(1, 64))
+    eye, step = np.eye(n), draw(st.sampled_from((1e-4, 1e-2)))
+    qudits = [row for k in range(n) for row in (eye[k], eye[k] + step * eye[(k + 1) % n])]
+    qudits = np.array(qudits) / np.linalg.norm(qudits, axis=1, keepdims=True)
+    turn = np.arange(2 * n) * (1e-4 if draw(st.booleans()) else math.pi / 2)
+    qubits = np.stack([np.cos(turn), np.sin(turn)], axis=1)
+    order = draw(st.permutations(range(2 * n)))
+    return ProductBasis(n, [kron(qubits[k], qudits[k]) for k in order])
+
+
+@settings(max_examples=60, deadline=None)
+@given(chained_bases())
+def test_search_finds_no_basis_whose_labelling_takes_more_than_log2_rounds_plus_2(basis):
+    assert _rounds_over_log2(analyzer.verify_report, basis) <= 2
+    with pytest.MonkeyPatch.context() as patch:  # classify past the Gram check, to its rays
+        patch.setattr(analyzer, "verify_orthonormal", lambda basis, tol: (True, 0.0))
+        assert _rounds_over_log2(classify, ProductBasis(basis.n, basis.vectors)) <= 2
+
+
+def _catalog_bases() -> list[ProductBasis]:
+    """Every named family's bases, the general triple from the Pauli bases of C^2."""
+    mubs = {"z": np.eye(2), "x": [PLUS, MINUS], "y": [[1 / RT2, 1j / RT2], [1 / RT2, -1j / RT2]]}
+    g_bases = {key + side: np.array(mubs[key], dtype=complex) for key in mubs for side in "01"}
+    bases = []
+    for tag in FAMILY_TAGS:
+        params = FamilyParams(tag, g_bases=g_bases if tag == "general_mupb_triple" else None)
+        family = named_family(params)
+        bases += family if isinstance(family, list) else [family]
+    return bases
+
+
+def _qr_calls(check, basis) -> int:
+    """The np.linalg.qr calls that `check` makes on a fresh copy of `basis`."""
+    calls, real = [], np.linalg.qr
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "qr", lambda *args: calls.append(args) or real(*args))
+        check(ProductBasis(basis.n, basis.vectors))
+    return len(calls)
+
+
+def _measures_no_block(basis) -> None:
+    for check in (check_pairwise_condition, check_groupable, analyzer.verify_report):
+        assert _qr_calls(check, basis) == 0, check.__name__
+
+
+def test_verify_checks_measure_no_block_of_a_catalog_basis():
+    bases = _catalog_bases()
+    for basis in bases:
+        _measures_no_block(basis)
+    assert any(_qr_calls(classify, basis) for basis in bases)  # the count sees classify's
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 16).flatmap(lambda n: st.sampled_from(partitions_of(n))),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("identity-blocks", "haar-random")),
+    st.sampled_from(("equal-groups", "independent-groups")),
+)
+def test_verify_checks_measure_no_block_of_a_generated_basis(partition, seed, frame, groups):
+    basis = generate_from_type(TypeSpec(partition.n, partition, seed, frame, groups))
+    _measures_no_block(basis)
+    assert _qr_calls(classify, basis) == len(set(partition.parts))  # one QR per block size
 
 
 @st.composite

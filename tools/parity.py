@@ -15,7 +15,8 @@ the work directory masked) and the sha256 of every file the call wrote.  Prints
 the call count, the first differences, each shown as the text around its first
 differing character, and, when stdout differs, in how many lines and up to what
 magnitude the numbers that differ on them go, so that a roundoff-only change
-reads as one; exits 1 on any difference, 2 on a usage error.
+reads as one; then each tree's `src/` line count, in total and per module.
+Exits 1 on any difference, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -170,6 +171,14 @@ def stdout_size(base: list[dict], new: list[dict]) -> str | None:
     return f"stdout of {len(sizes)} calls: {_says(lines, largest)}"
 
 
+def line_counts(tree: Path) -> str:
+    """The line count of `tree`'s `src/`, in total and per module."""
+    src = tree / "src"
+    counts = {p.relative_to(src).as_posix(): p.read_bytes().count(b"\n") for p in src.rglob("*.py")}
+    modules = ", ".join(f"{name} {count}" for name, count in sorted(counts.items()))
+    return f"{sum(counts.values())} lines in src/ ({modules})"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -188,6 +197,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {line}")
     if size := stdout_size(*runs):
         print(size)
+    for side, tree in (("base", base), ("new", new)):
+        print(f"{side}: {line_counts(tree)}")
     return 1 if found else 0
 
 

@@ -75,7 +75,12 @@ def as_vector(v) -> np.ndarray:
     arr = np.asarray(v, dtype=np.complex128)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {arr.shape}")
-    if arr.size == 0:
+    return _finite_entries(arr)
+
+
+def _finite_entries(arr: np.ndarray) -> np.ndarray:
+    """`arr`, a vector or a 2-d array of row vectors, if its vectors are nonempty and finite."""
+    if arr.shape[-1] == 0:
         raise ValueError("empty vector")
     if not np.isfinite(arr).all():
         raise ValueError("vector has non-finite entries")
@@ -100,7 +105,8 @@ def canonical_phase(v) -> np.ndarray:
 
     Ties go to the lowest index, moduli within a relative 1e-12 of the largest
     counting as tied, so equivalent rays map to one deterministic
-    representative whatever the roundoff.  A 2-d array is done row by row.
+    representative whatever the roundoff.  A 2-d array is done row by row,
+    each row checked as a vector is.
     """
     if np.ndim(v) != 2:
         v = as_vector(v)
@@ -109,7 +115,7 @@ def canonical_phase(v) -> np.ndarray:
         if not pivot:
             raise ValueError("cannot phase-canonicalize the zero vector")
         return v * (np.abs(pivot) / pivot)
-    rows = np.asarray(v, dtype=np.complex128)
+    rows = _finite_entries(np.asarray(v, dtype=np.complex128))
     mod = np.abs(rows)
     first = np.argmax(mod >= (1.0 - 1e-12) * mod.max(axis=1, keepdims=True), axis=1)
     pivot = rows[np.arange(len(rows)), first]

@@ -22,7 +22,7 @@ import prodbase.analyzer
 import prodbase.basisfile
 import prodbase.cli
 from prodbase.analyzer import ProductBasis
-from prodbase.basisfile import _g17
+from prodbase._grid_writer import _g17
 from prodbase.cli import BasisFileError, _build_parser, load_basis_file, main, save_basis_file
 from prodbase.generator import FAMILY_TAGS, FamilyParams, TypeSpec, generate_from_type, named_family
 from prodbase.numerics import DEFAULT_TOL

@@ -76,6 +76,22 @@ def test_canonical_phase_zero_vector():
         canonical_phase(np.zeros(3))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_canonical_phase_rejects_a_non_finite_vector_or_row_alike(value):
+    v = np.array([0.6, 0.8j, 0.0])
+    v[2] = value
+    rows = np.stack([np.array([1.0, 0.0, 0.0]), v])
+    for arg in (v, rows, rows.tolist()):
+        with pytest.raises(ValueError, match="^vector has non-finite entries$"):
+            canonical_phase(arg)
+
+
+@pytest.mark.parametrize("shape", [(0,), (1, 0), (3, 0)])
+def test_canonical_phase_rejects_an_empty_vector_or_row_alike(shape):
+    with pytest.raises(ValueError, match="^empty vector$"):
+        canonical_phase(np.zeros(shape, complex))
+
+
 def test_orthonormalize_already_orthonormal():
     sub = orthonormalize([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
     assert sub.dim == 2

@@ -15,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prodbase._grid_reader
 import prodbase.basisfile
 from prodbase.analyzer import ProductBasis
-from prodbase.basisfile import _GRID_MIN, _PAD, _number_grid
+from prodbase._grid_reader import _number_grid
+from prodbase.basisfile import _GRID_MIN, _PAD
 from prodbase.cli import BasisFileError, load_basis_file, main, save_basis_file
 from prodbase.generator import TypeSpec, generate_from_type
 from prodbase.numerics import DEFAULT_TOL, Tolerances
@@ -229,21 +231,21 @@ def test_grid_kernel_rounds_ties_and_near_ties_as_json_does():
     ],
 )
 def test_grid_kernel_declines_what_is_not_a_regular_grid_of_numbers(monkeypatch, text):
-    monkeypatch.setattr(prodbase.basisfile, "_GRID_MIN", 1)
+    monkeypatch.setattr(prodbase._grid_reader, "_GRID_MIN", 1)
     assert kernel_grid(text) is None
 
 
 def test_grid_kernel_reads_short_tokens_exponents_and_blanks_in_bulk(monkeypatch):
     # a fallback to float() would be exact too; these must not need it
     oks = []
-    real = prodbase.basisfile._numbers
+    real = prodbase._grid_reader._numbers
 
     def counted(*args):
         got = real(*args)
         oks.append(got[1])
         return got
 
-    monkeypatch.setattr(prodbase.basisfile, "_numbers", counted)
+    monkeypatch.setattr(prodbase._grid_reader, "_numbers", counted)
     tokens = ["1e5", "2", "-0", "1.5E-7", "0", "7", "-3.25e+2", "0.5"] * 400
     text = grid_text(tokens, cols=8, sep=" , ").replace("]", " ]")
     assert_kernel_reads_as_json(text)
@@ -286,9 +288,9 @@ def test_n64_files_load_through_the_grid_kernel_as_the_reference_loads_them(
     path = tmp_path / "b.json"
     save_basis_file(path, generate_from_type(TypeSpec(64, Partition(partition), 3, subspaces)))
     grids = []
-    real = prodbase.basisfile._number_grid
+    real = prodbase._grid_reader._number_grid
     counted = lambda *args: grids.append(real(*args)) or grids[-1]  # noqa: E731
-    monkeypatch.setattr(prodbase.basisfile, "_number_grid", counted)
+    monkeypatch.setattr(prodbase._grid_reader, "_number_grid", counted)
     assert outcome(load_basis_file, path) == outcome(reference_load_basis_file, path)
     assert len(grids) == 1 and grids[0] is not None
 

@@ -269,7 +269,7 @@ def _stages(basis: ProductBasis, tol: Tolerances):
         q.flags.writeable = False
         measures[2, js] = _span_distance(q, group_p)
         # the groups coincide as sets of rays when their near-parallel pairs form a permutation
-        parallel = overlaps[ia[:, :, None], ip[:, None]] >= 1.0 - tol.eps_ray
+        parallel = _same_ray(overlaps[ia[:, :, None], ip[:, None]], tol)
         same = ((parallel.sum(axis=1) == 1) & (parallel.sum(axis=2) == 1)).all(axis=1).tolist()
         stacks.append((m, js, group_a, group_p, q, same))
         start = stop
@@ -308,6 +308,11 @@ def check_pairwise_condition(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL)
     return _measured("pairwise", smaller, tol.eps_orth).passed
 
 
+def _same_ray(overlap: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Which overlap moduli |<x|y>| of unit vectors lie within eps_ray of 1: x and y one ray."""
+    return overlap >= 1.0 - tol.eps_ray
+
+
 def _ray_classes(overlap: np.ndarray, tol: Tolerances):
     """Ray classes of the qubit factors, from their overlap moduli, and each
     class's orthogonal partner.
@@ -319,7 +324,7 @@ def _ray_classes(overlap: np.ndarray, tol: Tolerances):
     internally inconsistent (transitivity degraded beyond 2*eps_ray) or the
     classes do not pair up one to one.
     """
-    labels = _component_labels(overlap >= 1.0 - tol.eps_ray)
+    labels = _component_labels(_same_ray(overlap, tol))
     firsts = np.flatnonzero(labels == np.arange(len(labels)))
     order = np.argsort(labels, kind="stable").tolist()
     ends = np.cumsum(np.bincount(labels)[firsts]).tolist()

@@ -194,31 +194,41 @@ def _gram_eigenvalue(n0, beta, gamma, sqrt):
 
 
 def _row_dots(x, y):
-    """<x|y> of the last axes, each summed by the BLAS dot that `np.vdot` calls on one row."""
-    return (x.conj()[..., None, :] @ y[..., :, None])[..., 0, 0]
+    """<x|y> of the last axes as an axis of length 1, each by the BLAS dot of `np.vdot`."""
+    return (x.conj()[..., None, :] @ y[..., :, None])[..., 0]
+
+
+def _two_rows(m, ndim: int, what: str) -> np.ndarray:
+    """`m` as complex128 when it has `ndim` axes and 2 rows; ValueError naming its shape else."""
+    M = np.asarray(m, dtype=np.complex128)
+    if M.ndim != ndim or M.shape[-2] != 2:
+        raise ValueError(f"expected {what} with 2 rows, got shape {M.shape}")
+    return M
+
+
+def _sigmas(n0, u, r1, dot, sqrt):
+    """sigma_1 and sigma_2 of the rows n0 * u and r1, |r1| <= n0 and u a unit row or 0, at
+    either call shape: one row and `np.vdot`, or a stack and `_row_dots`, with its sqrt."""
+    c1 = dot(u, r1)
+    w = r1 - c1 * u
+    c2 = dot(u, w)
+    w -= c2 * u  # a second pass takes out what the first left by roundoff
+    beta = np.abs(c1 + c2)  # the ufunc at both shapes: a scalar's abs() rounds differently
+    gamma = sqrt(dot(w, w).real)
+    sigma1 = sqrt(_gram_eigenvalue(n0, beta, gamma, sqrt))
+    return sigma1, n0 * gamma / (sigma1 + (sigma1 == 0.0))  # 0 / 1 for the zero matrix
 
 
 def singular_values_2xn(m) -> tuple[float, float]:
     """The two singular values (descending) of a finite matrix with 2 rows: the bits of
-    `singular_values_2xn_stack`, from its operations on scalars, a cheaper call for one."""
-    M = np.asarray(m, dtype=np.complex128)
-    if M.ndim != 2 or M.shape[0] != 2:
-        raise ValueError(f"expected a matrix with 2 rows, got shape {M.shape}")
+    `singular_values_2xn_stack`, from the same `_sigmas` on one row, a cheaper call for one."""
+    M = _two_rows(m, 2, "a matrix")
     p, s = float(np.vdot(M[0], M[0]).real), float(np.vdot(M[1], M[1]).real)
     if not p + s < 2.0**500:  # a NaN or inf entry, or squares of squares past the float range
-        s1, s2 = singular_values_2xn_stack(M[None])
-        return (float(s1[0]), float(s2[0]))
+        return tuple(float(s[0]) for s in singular_values_2xn_stack(M[None]))
     r0, r1 = (M[1], M[0]) if s > p else (M[0], M[1])
     n0 = math.sqrt(max(p, s))
-    u = r0 / (n0 or 1.0)
-    c1 = complex(np.vdot(u, r1))
-    w = r1 - c1 * u
-    c2 = complex(np.vdot(u, w))
-    w -= c2 * u
-    gamma = math.sqrt(float(np.vdot(w, w).real))
-    beta = float(np.abs(c1 + c2))  # numpy's modulus, not Python's: they round differently
-    sigma1 = math.sqrt(_gram_eigenvalue(n0, beta, gamma, math.sqrt))
-    return (sigma1, n0 * gamma / sigma1 if sigma1 > 0.0 else 0.0)
+    return _sigmas(n0, r0 / (n0 or 1.0), r1, np.vdot, math.sqrt)
 
 
 def singular_values_2xn_stack(ms) -> tuple[np.ndarray, np.ndarray]:
@@ -231,23 +241,15 @@ def singular_values_2xn_stack(ms) -> tuple[np.ndarray, np.ndarray]:
     ~sqrt(machine eps); this form keeps sigma_2 accurate down to ~1e-16.
     Each matrix gets the bits that `singular_values_2xn` gives it alone.
     """
-    M = np.asarray(ms, dtype=np.complex128)
+    M = _two_rows(ms, 3, "a stack of matrices")
     # squares past the float range come out inf or NaN, and such matrices are rescued below
     with np.errstate(over="ignore", invalid="ignore"):
         squares = _row_dots(M, M).real
         # the longer row goes first, so the cross term is taken against it
-        M = np.where((squares[:, 1] > squares[:, 0])[:, None, None], M[:, ::-1], M)
+        M = np.where(squares[:, 1:] > squares[:, :1], M[:, ::-1], M)
         n0 = np.sqrt(squares.max(axis=1))
-        r0, r1 = M[:, 0], M[:, 1]
-        u = r0 / np.where(n0 > 0.0, n0, 1.0)[:, None]
-        c1 = _row_dots(u, r1)
-        w = r1 - c1[:, None] * u
-        c2 = _row_dots(u, w)
-        w = w - c2[:, None] * u
-        beta = np.abs(c1 + c2)
-        gamma = np.sqrt(_row_dots(w, w).real)
-        sigma1 = np.sqrt(_gram_eigenvalue(n0, beta, gamma, np.sqrt))
-        sigma2 = np.divide(n0 * gamma, sigma1, out=np.zeros(sigma1.shape), where=sigma1 > 0.0)
+        u = M[:, 0] / np.where(n0 > 0.0, n0, 1.0)
+        sigma1, sigma2 = (s[:, 0] for s in _sigmas(n0, u, M[:, 1], _row_dots, np.sqrt))
     if not np.isfinite(sigma1).all():  # a NaN or inf entry, or squares past the float range
         bad = ~np.isfinite(sigma1)
         if not np.isfinite(M[bad]).all():

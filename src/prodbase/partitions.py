@@ -52,12 +52,11 @@ class Partition(tuple):
 
     @classmethod
     def from_string(cls, text: str) -> "Partition":
-        """Parse '+'-separated parts, e.g. '3+2+1'."""
-        try:
-            parts = tuple(int(piece) for piece in text.split("+"))
-        except ValueError:
-            raise ValueError(f"invalid partition string {text!r}") from None
-        return cls(parts)
+        """Parse '+'-separated runs of ASCII digits, e.g. '3+2+1', each between optional blanks."""
+        pieces = [piece.strip() for piece in text.split("+")]
+        if not all(piece.isascii() and piece.isdigit() for piece in pieces):
+            raise ValueError(f"invalid partition string {text!r}")
+        return cls(tuple(map(int, pieces)))
 
 
 def _check_range(n: int) -> None:

@@ -191,6 +191,11 @@ def test_mub_check_of_different_dimensions_is_a_usage_error(tmp_path, capsys):
 # every exit-2 path that a command reports, not argparse: its command line and its stderr line
 COMMAND_USAGE_ERRORS = {
     "malformed partition": ("generate 4 2+x", "invalid partition string '2+x'"),
+    "partition with a digit separator": ("generate 30 3_0", "invalid partition string '3_0'"),
+    "partition of non-ASCII digits": (
+        "generate 5 \u0663+\u0662",
+        "invalid partition string '\u0663+\u0662'",
+    ),
     "negative seed": ("generate 4 2+2 --seed -1", "seed must be an unsigned 64-bit integer"),
     "n above MAX_N": ("generate 65 65", "n must be an integer in [1, 64], got 65"),
     "partition of another n": ("generate 4 3+2", "partition 3+2 does not sum to n = 4"),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,14 @@ def test_singular_values_zero_matrix():
 def test_singular_values_shape_check():
     with pytest.raises(ValueError):
         singular_values_2xn(np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (1, 3, 4), (4, 3, 2), (2, 2, 2, 2), ()])
+def test_singular_values_stack_shape_check(shape):
+    # a stack used to read rows 0 and 1 of any matrix, and a matrix raised IndexError
+    message = f"expected a stack of matrices with 2 rows, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        singular_values_2xn_stack(np.ones(shape))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.inf)])

@@ -254,6 +254,18 @@ def test_partition_from_string_message():
     assert str(exc.value) == "invalid partition string '3+x'"
 
 
+@pytest.mark.parametrize("text", ["3_0", "\u0663+\u0662", "+3", "3+", "-3", "3 2"])
+def test_partition_from_string_reads_only_ascii_digits(text):
+    # int() reads '3_0' as 30 and '\u0663' as 3; a part is a run of ASCII digits
+    with pytest.raises(ValueError) as exc:
+        Partition.from_string(text)
+    assert str(exc.value) == f"invalid partition string {text!r}"
+
+
+def test_partition_from_string_allows_blanks_around_each_part():
+    assert Partition.from_string(" 3 +\t2+1 ") == Partition((3, 2, 1))
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [

@@ -11,17 +11,22 @@ classifies, and `verify` and `classify` of every analyze_mixed input file at
 `--tol-orth` 1e-12 and 5e-4, so that verdicts on both sides of a threshold are
 compared, through its `prodbase.cli.main` in process, as the benchmark calls
 it.  Per call the two trees must agree on the exit code, stdout, stderr (with
-the work directory masked) and the sha256 of every file the call wrote.  Prints
-the call count, the first differences, each shown as the text around its first
-differing character, and, when stdout differs, in how many lines and up to what
-magnitude the numbers that differ on them go, so that a roundoff-only change
-reads as one; then each tree's `src/` line count, in total and per module.
-Exits 1 on any difference, 2 on a usage error.
+the work directory masked) and the sha256 of every file the call wrote.  For each
+analyze_mixed input file they must also agree on the sha256 of the bytes of numbers
+the CLI never prints, computed through public library names: both singular values
+of the file's rows from each 2xn kernel, `factor_arrays` of the loaded basis, every
+field of its `factorize_all` and the subspace bases of its `classify` blocks.
+Prints the call and digest counts, the first differences, each shown as the text
+around its first differing character, and, when stdout differs, in how many lines
+and up to what magnitude the numbers that differ on them go, so that a
+roundoff-only change reads as one; then each tree's `src/` line count, in total
+and per module.  Exits 1 on any difference, 2 on a usage error.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
@@ -47,6 +52,10 @@ def _stamps(work: Path) -> dict[Path, int]:
     return {p: p.stat().st_mtime_ns for p in work.rglob("*") if p.is_file()}
 
 
+def _masked(text: str, work: Path) -> str:
+    return text.replace(str(work), MASK)
+
+
 def _call(cli, argv: list[str], work: Path) -> dict:
     """One in-process call: its exit code, masked output and the digests of what it wrote."""
     before = _stamps(work)
@@ -63,18 +72,56 @@ def _call(cli, argv: list[str], work: Path) -> dict:
         for p, stamp in _stamps(work).items()
         if before.get(p) != stamp
     }
-    mask = lambda text: text.replace(str(work), MASK)  # noqa: E731
     return {
-        "call": mask(" ".join(argv)),
+        "call": _masked(" ".join(argv), work),
         "rc": rc,
-        "stdout": mask(out.getvalue()),
-        "stderr": mask(err.getvalue()),
+        "stdout": _masked(out.getvalue(), work),
+        "stderr": _masked(err.getvalue(), work),
         "written": written,
     }
 
 
+def _digest(compute, work: Path) -> str:
+    """The sha256 of the dtype, shape and bytes of each array that `compute()` gives, or
+    what it raised, with the work directory masked."""
+    import numpy as np
+
+    try:
+        arrays = [np.asarray(x) for x in compute()]
+    except Exception as exc:  # the library raised
+        return _masked(f"raised {type(exc).__name__}: {exc}", work)
+    sha = hashlib.sha256()
+    for a in arrays:
+        sha.update(f"{a.dtype} {a.shape};".encode())
+        sha.update(np.ascontiguousarray(a).tobytes())
+    return sha.hexdigest()
+
+
+def numbers(path: Path, work: Path) -> dict[str, str]:
+    """Digests of the library's numbers for one basis file, by name."""
+    from bases import read_basis
+
+    from prodbase.analyzer import classify, factorize_all
+    from prodbase.basisfile import load_basis_file
+    from prodbase.numerics import singular_values_2xn, singular_values_2xn_stack
+    from prodbase.product_space import factor_arrays
+
+    rows = read_basis(path)  # as written, so rows that the library rejects count too
+    M = rows.reshape(len(rows), 2, -1)
+    basis = functools.cache(lambda: load_basis_file(path))
+    computed = {
+        "stack singular values": lambda: singular_values_2xn_stack(M),
+        "one-row singular values": lambda: zip(*map(singular_values_2xn, M)),
+        "factor_arrays": lambda: factor_arrays(basis().vectors),
+        "factorize_all": lambda: [field for f in factorize_all(basis()) for field in f],
+        "classify subspaces": lambda: [b.subspace.basis for b in classify(basis()).blocks],
+    }
+    return {name: _digest(compute, work) for name, compute in computed.items()}
+
+
 def worker(tree: str, perfbench: str, work: str) -> None:
-    """Run every call against `tree`'s prodbase and print the records as JSON."""
+    """Run every call against `tree`'s prodbase and print the records, and the digests of
+    each analyze_mixed input's numbers, as JSON."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(Path(tree) / "src"), perfbench]
     import numpy as np
@@ -84,7 +131,7 @@ def worker(tree: str, perfbench: str, work: str) -> None:
 
     if not Path(cli.__file__).resolve().is_relative_to((Path(tree) / "src").resolve()):
         raise SystemExit(f"prodbase was imported from {cli.__file__}, not from {tree}/src")
-    root, records = Path(work), []
+    root, records, digests = Path(work), [], {}
     for name in WORKLOADS:
         for seed in SEEDS:
             here = root / f"{name}-{seed}"
@@ -96,11 +143,12 @@ def worker(tree: str, perfbench: str, work: str) -> None:
                 argvs += [argv for argv in (["classify", p] for p in paths) if argv not in argvs]
                 for tol, kind in itertools.product(TOL_ORTH, ("verify", "classify")):
                     argvs += [[kind, p, "--tol-orth", tol] for p in paths]
+                digests |= {_masked(p, root): numbers(Path(p), root) for p in paths}
             records += [_call(cli, argv, root) for argv in argvs]
-    json.dump(records, sys.stdout)
+    json.dump({"calls": records, "numbers": digests}, sys.stdout)
 
 
-def run_tree(tree: Path, perfbench: Path, work: Path) -> list[dict]:
+def run_tree(tree: Path, perfbench: Path, work: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"  # as the benchmark runs
@@ -159,6 +207,17 @@ def differences(base: list[dict], new: list[dict]) -> list[str]:
     return found
 
 
+def number_differences(base: dict, new: dict) -> list[str]:
+    """The input files whose library numbers differ, each with the names of those numbers."""
+    if base.keys() != new.keys():
+        return ["the two trees read different files"]
+    found = []
+    for path, digests in base.items():
+        if differ := [name for name, digest in digests.items() if new[path].get(name) != digest]:
+            found.append(f"{path}: {', '.join(differ)} differ")
+    return found
+
+
 def stdout_size(base: list[dict], new: list[dict]) -> str | None:
     """How far the stdout of the calls differs across a whole run, or None where it is equal."""
     if [r["call"] for r in base] != [r["call"] for r in new]:
@@ -190,12 +249,17 @@ def main(argv: list[str] | None = None) -> int:
             run_tree(tree, base / "perfbench", Path(tmp) / side)
             for side, tree in (("base", base), ("new", new))
         ]
-    found = differences(*runs)
-    written = sum(len(r["written"]) for r in runs[0])
-    print(f"parity: {len(runs[0])} calls per tree, {written} files written, {len(found)} differences")
+    calls = [run["calls"] for run in runs]
+    found = differences(*calls) + number_differences(*(run["numbers"] for run in runs))
+    written = sum(len(r["written"]) for r in calls[0])
+    digests = sum(map(len, runs[0]["numbers"].values()))
+    print(
+        f"parity: {len(calls[0])} calls per tree, {written} files written, "
+        f"{digests} digests of library numbers, {len(found)} differences"
+    )
     for line in found[:SHOWN]:
         print(f"  {line}")
-    if size := stdout_size(*runs):
+    if size := stdout_size(*calls):
         print(size)
     for side, tree in (("base", base), ("new", new)):
         print(f"{side}: {line_counts(tree)}")

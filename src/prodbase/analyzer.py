@@ -62,10 +62,10 @@ class ProductBasis:
         rows = np.array(vectors, dtype=np.complex128, order="C")  # saved as a float64 view
         if rows.shape != (2 * n, 2 * n):
             raise ValueError(f"expected {2 * n} vectors of dim {2 * n}, got shape {rows.shape}")
-        if not np.isfinite(rows).all():
-            raise ValueError("vector has non-finite entries")
         with np.errstate(over="ignore"):  # an entry above ~1e154 gives inf, not a warning
             nrm2 = np.sum(np.abs(rows) ** 2, axis=1)
+        if not (nrm2.max() < np.inf or np.isfinite(rows).all()):  # as `numerics._finite`
+            raise ValueError("vector has non-finite entries")
         off = np.flatnonzero(np.abs(nrm2 - 1.0) > tol.eps_unit)
         if off.size:
             k = int(off[0])

@@ -82,9 +82,14 @@ def _finite_entries(arr: np.ndarray) -> np.ndarray:
     """`arr`, a vector or a 2-d array of row vectors, if its vectors are nonempty and finite."""
     if arr.shape[-1] == 0:
         raise ValueError("empty vector")
-    if not np.isfinite(arr).all():
+    if not _finite(arr):
         raise ValueError("vector has non-finite entries")
     return arr
+
+
+def _finite(arr: np.ndarray):
+    """Whether `arr` is finite: its sum of squared moduli is, or, if that overflows, each entry."""
+    return np.vdot(arr, arr).real < math.inf or np.isfinite(arr).all()
 
 
 def norm(v) -> float:
@@ -109,12 +114,7 @@ def canonical_phase(v) -> np.ndarray:
     each row checked as a vector is.
     """
     if np.ndim(v) != 2:
-        v = as_vector(v)
-        mod = np.abs(v)
-        pivot = v[np.argmax(mod >= (1.0 - 1e-12) * mod.max())]
-        if not pivot:
-            raise ValueError("cannot phase-canonicalize the zero vector")
-        return v * (np.abs(pivot) / pivot)
+        return _canonical_phase_1d(as_vector(v))
     rows = _finite_entries(np.asarray(v, dtype=np.complex128))
     mod = np.abs(rows)
     first = np.argmax(mod >= (1.0 - 1e-12) * mod.max(axis=1, keepdims=True), axis=1)
@@ -124,11 +124,20 @@ def canonical_phase(v) -> np.ndarray:
     return rows * (np.abs(pivot) / pivot)[:, None]
 
 
+def _canonical_phase_1d(v: np.ndarray) -> np.ndarray:
+    """`canonical_phase` of `v`, a finite 1-d complex128 array, unchecked."""
+    mod = np.abs(v)
+    at = (mod >= (1.0 - 1e-12) * mod.max()).argmax()  # np.argmax adds 2 µs a call
+    if not v[at]:
+        raise ValueError("cannot phase-canonicalize the zero vector")
+    return v * (mod[at] / v[at])
+
+
 def gram_residual(vectors) -> float:
     """Max absolute deviation from the identity of the Gram matrix of `vectors`,
     a (k, d) array or a sequence of k vectors, validated in one pass."""
     rows = np.asarray(vectors, dtype=np.complex128)
-    if rows.ndim != 2 or rows.size == 0 or not np.isfinite(rows).all():
+    if rows.ndim != 2 or rows.size == 0 or not _finite(rows):
         raise ValueError(f"expected a (k, d) array of finite vectors, got shape {rows.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # entries above ~1e154
         residual = float(np.max(np.abs(rows.conj() @ rows.T - np.eye(len(rows)))))
@@ -176,9 +185,7 @@ def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     cols = np.asarray(vectors, dtype=np.complex128).T
     if cols.ndim != 2 or cols.size == 0:
         raise ValueError("zero-span: no input vectors")
-    if not np.isfinite(cols).all():
-        raise ValueError("vector has non-finite entries")
-    u, sv, _ = np.linalg.svd(cols, full_matrices=False)
+    u, sv, _ = np.linalg.svd(_finite_entries(cols), full_matrices=False)
     scale = max(1.0, float(np.linalg.norm(cols, axis=0).max()))
     rank = int(np.count_nonzero(sv > tol.eps_rank * scale))
     if rank == 0:
@@ -223,10 +230,11 @@ def singular_values_2xn(m) -> tuple[float, float]:
     """The two singular values (descending) of a finite matrix with 2 rows: the bits of
     `singular_values_2xn_stack`, from the same `_sigmas` on one row, a cheaper call for one."""
     M = _two_rows(m, 2, "a matrix")
-    p, s = float(np.vdot(M[0], M[0]).real), float(np.vdot(M[1], M[1]).real)
+    x, y = M[0], M[1]  # indexed: iterating over M costs 1 µs more
+    p, s = float(np.vdot(x, x).real), float(np.vdot(y, y).real)
     if not p + s < 2.0**500:  # a NaN or inf entry, or squares of squares past the float range
         return tuple(float(s[0]) for s in singular_values_2xn_stack(M[None]))
-    r0, r1 = (M[1], M[0]) if s > p else (M[0], M[1])
+    r0, r1 = (y, x) if s > p else (x, y)
     n0 = math.sqrt(max(p, s))
     return _sigmas(n0, r0 / (n0 or 1.0), r1, np.vdot, math.sqrt)
 

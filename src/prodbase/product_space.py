@@ -18,6 +18,7 @@ import numpy as np
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
+    _canonical_phase_1d,
     as_vector,
     canonical_phase,
     inner,
@@ -98,23 +99,23 @@ def factorize(v, tol: Tolerances = DEFAULT_TOL):
     if v.size % 2 != 0:
         raise ValueError(f"odd dimension {v.size}: cannot split off a qubit factor")
     n = v.size // 2
-    nrm2 = float(np.vdot(v, v).real)
-    if abs(nrm2 - 1.0) > tol.eps_unit:
-        raise ValueError(f"not-normalized: <v|v> = {nrm2!r}")
+    nrm2 = float(np.vdot(v, v).real)  # NaN, not inf, where squares overflow inside BLAS
+    if not abs(nrm2 - 1.0) <= tol.eps_unit:
+        raise ValueError(f"not-normalized: <v|v> = {nrm2 if nrm2 == nrm2 else math.inf!r}")
     M = v.reshape(2, n)
     sigma1, sigma2 = singular_values_2xn(M)
     if sigma2 > tol.eps_rank:
         return NotAProduct(sigma2=sigma2)
-    G = M @ M.conj().T
-    p, s, q = float(G[0, 0].real), float(G[1, 1].real), complex(G[0, 1])
+    (p, q), (_, s) = (M @ M.conj().T).tolist()
+    p, s = p.real, s.real
     # sigma2 <= eps_rank, so lam - min(p, s) is about max(p, s) >= 1/2: never (0, 0)
     a0, a1 = (q, sigma1**2 - p) if p < s else (sigma1**2 - s, q.conjugate())
     pivot = a0 if abs(a0) >= (1.0 - 1e-12) * abs(a1) else a1  # canonical_phase's tie rule
     scale = abs(pivot) / pivot / math.hypot(abs(a0), abs(a1))
     a = np.array([a0 * scale, a1 * scale])
     b = a.conj() @ M
-    b = canonical_phase(b / math.sqrt(float(np.vdot(b, b).real)))
-    full = np.outer(a, b).ravel()
+    b = _canonical_phase_1d(b / math.sqrt(float(np.vdot(b, b).real)))  # finite, as v is
+    full = (a[:, None] * b).ravel()
     ph = inner(full, v)
     return ProductVector(a=a, b=b, full=full, phase=ph / abs(ph))
 

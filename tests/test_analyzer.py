@@ -300,6 +300,8 @@ def test_product_basis_validation():
     # an entry whose square overflows is not unit either, and raises no numpy warning
     with pytest.raises(ValueError, match="vector 0 has <v|v> = inf"):
         ProductBasis(2, [1e200 * eye[:, 0], eye[:, 1], eye[:, 2], eye[:, 3]])
+    with pytest.raises(ValueError, match="^vector has non-finite entries$"):
+        ProductBasis(2, [eye[:, 0], eye[:, 1], np.nan * eye[:, 2], eye[:, 3]])
 
 
 def test_product_basis_vectors_are_one_read_only_array():

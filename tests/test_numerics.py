@@ -6,18 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prodbase.analyzer import ProductBasis
+from prodbase.basisfile import BasisFileError, _complex_rows
 from prodbase.numerics import (
     DEFAULT_TOL,
     Tolerances,
     _gram_eigenvalue,
+    as_vector,
     canonical_phase,
     gram_residual,
     inner,
+    norm,
     orthonormalize,
     singular_values_2xn,
     singular_values_2xn_stack,
     subspace_equal,
 )
+from prodbase.product_space import factorize
 
 RT2 = math.sqrt(2.0)
 
@@ -75,6 +80,8 @@ def test_canonical_phase_pivot_real_positive():
 def test_canonical_phase_zero_vector():
     with pytest.raises(ValueError):
         canonical_phase(np.zeros(3))
+    with pytest.raises(ValueError, match="^cannot phase-canonicalize the zero vector$"):
+        canonical_phase([[1.0, 0.0], [0.0, 0.0]])
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
@@ -119,6 +126,18 @@ def test_orthonormalize_zero_span():
         orthonormalize([np.zeros(3), np.zeros(3)])
     with pytest.raises(ValueError, match="zero-span"):
         orthonormalize([])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(math.inf, math.nan)])
+def test_orthonormalize_rejects_non_finite_vectors(value):
+    with pytest.raises(ValueError, match="^vector has non-finite entries$"):
+        orthonormalize([[1.0, 0.0], [value, 1.0]])
+
+
+def test_norm_is_the_euclidean_length_of_a_finite_vector():
+    assert norm([3.0, 4.0j]) == 5.0
+    with pytest.raises(ValueError, match="^vector has non-finite entries$"):
+        norm([1.0, math.nan])
 
 
 def test_orthonormalize_idempotent_up_to_phase():
@@ -382,3 +401,53 @@ def test_a_stack_has_the_bits_of_its_one_row_calls(n, k, seed, kind, log_sigma2)
     ms = np.stack([_two_row_matrix(rng, n, kind, log_sigma2) for _ in range(k)])
     s1, s2 = singular_values_2xn_stack(ms)
     assert [singular_values_2xn(m) for m in ms] == list(zip(s1.tolist(), s2.tolist()))
+
+
+def _error(call):
+    """The message of the ValueError or BasisFileError that `call()` raises, or None."""
+    try:
+        call()
+    except (ValueError, BasisFileError) as exc:
+        return str(exc)
+    return None
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, complex(math.inf, math.nan)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(("vector", "rows", "basis")),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+    st.one_of(_NON_FINITE, st.floats(155.0, 300.0)),
+)
+def test_the_one_pass_finiteness_test_raises_exactly_on_a_non_finite_entry(shape, n, seed, spoil):
+    # an array is tested by the sum of its squared moduli, entry by entry only when that sum
+    # is not finite: for a NaN or inf entry, or (spoil an exponent) a finite one from 1e155 up
+    rng = _rng(seed)
+    z = rng.standard_normal((2, 2 * n, 2 * n))
+    unitary = np.linalg.qr(z[0] + 1j * z[1])[0]
+    arr = {"vector": unitary[0], "rows": unitary[: rng.integers(1, 2 * n)], "basis": unitary}[shape]
+    at = tuple(rng.integers(0, arr.shape))
+    huge = bool(np.isfinite(spoil))
+    arr[at] = arr[at] / abs(arr[at]) * 10.0**spoil if huge else spoil
+    assert huge == np.isfinite(arr).all()
+    rows = arr.reshape(-1, arr.shape[-1])
+    row = rows[at[0] if arr.ndim == 2 else 0]
+    non_finite = None if huge else "vector has non-finite entries"
+    for call in (as_vector, lambda v: inner(v, v), canonical_phase):
+        assert _error(lambda: call(row)) == non_finite
+    assert _error(lambda: canonical_phase(rows)) == non_finite
+    assert _error(lambda: factorize(row)) == ("not-normalized: <v|v> = inf" if huge else non_finite)
+    if huge:
+        assert gram_residual(rows) == math.inf
+    else:
+        want = f"expected a (k, d) array of finite vectors, got shape {rows.shape}"
+        assert _error(lambda: gram_residual(rows)) == want
+    if shape == "basis":
+        unit = f"not-normalized: vector {at[0]} has <v|v> = inf"
+        assert _error(lambda: ProductBasis(n, arr)) == (unit if huge else non_finite)
+        grid = arr.view(np.float64).reshape(2 * n, 2 * n, 2)
+        want = None if huge else f"f: vector {at[0]} has non-finite entries"
+        assert _error(lambda: _complex_rows(grid, 2 * n, "f")) == want

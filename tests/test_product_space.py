@@ -181,6 +181,11 @@ def test_qubit_orthogonal_zero_vector():
         qubit_orthogonal(np.zeros(2))
 
 
+def test_qubit_orthogonal_requires_a_qubit_state():
+    with pytest.raises(ValueError, match="^expected a qubit state, got dim 3$"):
+        qubit_orthogonal([1.0, 0.0, 0.0])
+
+
 @st.composite
 def products_and_near_products(draw):
     """A unit row of C^2 (x) C^n: a product, possibly kicked off the product set.

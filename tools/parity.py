@@ -14,8 +14,10 @@ it.  Per call the two trees must agree on the exit code, stdout, stderr (with
 the work directory masked) and the sha256 of every file the call wrote.  For each
 analyze_mixed input file they must also agree on the sha256 of the bytes of numbers
 the CLI never prints, computed through public library names: both singular values
-of the file's rows from each 2xn kernel, `factor_arrays` of the loaded basis, every
-field of its `factorize_all` and the subspace bases of its `classify` blocks.
+of the file's rows from each 2xn kernel, the Gram residual of its rows (which the CLI
+prints to 7 digits) and `canonical_phase` of each row alone, `factor_arrays` of the
+loaded basis, every field of its `factorize_all` and the subspace bases of its
+`classify` blocks.
 Prints the call and digest counts, the first differences, each shown as the text
 around its first differing character, and, when stdout differs, in how many lines
 and up to what magnitude the numbers that differ on them go, so that a
@@ -103,7 +105,12 @@ def numbers(path: Path, work: Path) -> dict[str, str]:
 
     from prodbase.analyzer import classify, factorize_all
     from prodbase.basisfile import load_basis_file
-    from prodbase.numerics import singular_values_2xn, singular_values_2xn_stack
+    from prodbase.numerics import (
+        canonical_phase,
+        gram_residual,
+        singular_values_2xn,
+        singular_values_2xn_stack,
+    )
     from prodbase.product_space import factor_arrays
 
     rows = read_basis(path)  # as written, so rows that the library rejects count too
@@ -112,6 +119,8 @@ def numbers(path: Path, work: Path) -> dict[str, str]:
     computed = {
         "stack singular values": lambda: singular_values_2xn_stack(M),
         "one-row singular values": lambda: zip(*map(singular_values_2xn, M)),
+        "gram_residual": lambda: [gram_residual(rows)],
+        "one-row canonical_phase": lambda: map(canonical_phase, rows),
         "factor_arrays": lambda: factor_arrays(basis().vectors),
         "factorize_all": lambda: [field for f in factorize_all(basis()) for field in f],
         "classify subspaces": lambda: [b.subspace.basis for b in classify(basis()).blocks],

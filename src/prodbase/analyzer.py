@@ -238,7 +238,6 @@ def _stages(basis: ProductBasis, tol: Tolerances):
         return
     yield _Stage("rays", None, tol.eps_ray, None, True)
     # each block as its A class, its A-perp class and the size of its A class
-    partner = partner.tolist()
     pairs = [(classes[c], classes[e], len(classes[c])) for c, e in enumerate(partner) if c < e]
     cardinality = _measured("cardinality", [abs(m - len(p)) for _, p, m in pairs], 0)
     if cardinality.passed:  # read before any block is measured
@@ -318,40 +317,37 @@ def _ray_classes(overlap: np.ndarray, tol: Tolerances):
     class's orthogonal partner.
 
     The classes are the connected components of the ray-equality graph
-    (|overlap| >= 1 - eps_ray), as tuples of basis positions ordered by
-    their first member; partner[c] is the one class orthogonal to class c
-    within eps_orth.  Raises ValueError with a diagnostic when a class is
-    internally inconsistent (transitivity degraded beyond 2*eps_ray) or the
-    classes do not pair up one to one.
+    (|overlap| >= 1 - eps_ray), as tuples of basis positions ordered by their
+    first member, however wide.  In C^2, |<a_perp|b>|^2 = 1 - |<a|b>|^2, so b
+    is one ray with a_perp exactly when |<a|b>|^2 <= eps_ray * (2 - eps_ray);
+    partner[c] is the one other class with a member in that relation to one of
+    class c.  Raises ValueError when a class has no partner or more than one.
     """
     labels = _component_labels(_same_ray(overlap, tol))
     firsts = np.flatnonzero(labels == np.arange(len(labels)))
     order = np.argsort(labels, kind="stable").tolist()
     ends = np.cumsum(np.bincount(labels)[firsts]).tolist()
     classes = [tuple(order[start:end]) for start, end in zip([0, *ends], ends)]
-    loose = (labels[:, None] == labels) & (1.0 - overlap >= 2.0 * tol.eps_ray)
-    if loose.any():
-        u, v = (int(x) for x in np.argwhere(loose)[0])
-        members = list(next(c for c in classes if u in c))
-        raise ValueError(
-            f"ray class {members} is internally inconsistent: "
-            f"vectors {u} and {v} differ by more than 2*eps_ray"
-        )
-    orthogonal = overlap[firsts][:, firsts] <= tol.eps_orth
-    counts = orthogonal.sum(axis=1)
-    unpaired = np.flatnonzero(counts != 1)
+    # the lowest and the highest label of the other classes that each class meets, in a
+    # relation made symmetric, so that the partners pair up one to one
+    near_perp = overlap * overlap <= tol.eps_ray * (2.0 - tol.eps_ray)
+    meets = (near_perp | near_perp.T) & (labels[:, None] != labels)
+    size = len(labels)
+    low, high = np.full(size, size), np.full(size, -1)
+    np.minimum.at(low, labels, np.where(meets, labels, size).min(axis=1))
+    np.maximum.at(high, labels, np.where(meets, labels, -1).max(axis=1))
+    low, high = low[firsts], high[firsts]
+    unpaired = np.flatnonzero(low != high)
     if unpaired.size:
         c = int(unpaired[0])
-        if counts[c] == 0:
+        if high[c] < 0:
             raise ValueError(f"ray class {classes[c]} has no orthogonal partner class")
+        one, other = (classes[k] for k in np.searchsorted(firsts, (low[c], high[c])))
         raise ValueError(
-            f"ambiguous partner for ray class {classes[c]}: "
-            f"{counts[c]} classes are orthogonal within eps_orth"
+            f"ambiguous partner for ray class {classes[c]}: classes {one} and {other} "
+            "both meet it at |overlap|^2 <= eps_ray*(2 - eps_ray)"
         )
-    partner = np.argmax(orthogonal, axis=1)
-    if np.any(partner[partner] != np.arange(len(classes))):
-        raise ValueError("partner assignment is not a perfect matching on ray classes")
-    return classes, partner
+    return classes, np.searchsorted(firsts, low).tolist()
 
 
 def _component_labels(adjacent: np.ndarray) -> np.ndarray:
@@ -387,9 +383,10 @@ def check_groupable(basis: ProductBasis, tol: Tolerances = DEFAULT_TOL) -> bool:
     pairs and qudit factors into 2 orthonormal bases of C^n.
 
     This is strictly weaker than being a product basis; sets exist that group
-    cleanly yet are not orthonormal in C^(2n).  In C^2 every ray orthogonal
-    to a given one is the same ray, so the qubit factors pair up exactly when
-    each ray class has one orthogonal partner class of equal size.
+    cleanly yet are not orthonormal in C^(2n).  In C^2 the rays orthogonal to
+    a ray are one ray, so the qubit factors pair up exactly when each ray class
+    has one partner class of equal size, which the ray test at eps_ray puts on
+    that orthogonal ray (`_ray_classes`).
 
     Non-orthogonal qudit factors must land in different groups, so a split
     is a 2-colouring of the graph of non-orthogonal pairs.  Any such

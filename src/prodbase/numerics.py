@@ -93,7 +93,7 @@ def _finite(arr: np.ndarray):
 
 
 def norm(v) -> float:
-    return float(np.linalg.norm(as_vector(v)))
+    return math.hypot(*np.abs(as_vector(v)).tolist())  # scaled: no square overflows
 
 
 def inner(x, y) -> complex:

@@ -23,6 +23,7 @@ from prodbase.analyzer import (
     swap_factors,
     verify_orthonormal,
     verify_product_basis,
+    verify_report,
 )
 from prodbase.cli import load_basis_file, main, save_basis_file
 from prodbase.generator import FAMILY_TAGS, FamilyParams, TypeSpec, generate_from_type, named_family
@@ -921,23 +922,111 @@ def test_ray_classes_are_ascending_tuples_in_first_member_order():
 @pytest.mark.parametrize(
     "overlap, message",
     [
-        (  # 0 ~ 1 ~ 2 as rays, but 0 and 2 differ by 2.5e-8 > 2 * eps_ray
+        (  # 0 ~ 1 ~ 2 as rays, though 0 and 2 differ by 2.5e-8 > 2 * eps_ray: one class, alone
             1.0 - np.array([[0.0, 1.0, 2.5], [1.0, 0.0, 1.0], [2.5, 1.0, 0.0]]) * 1e-8,
-            "ray class [0, 1, 2] is internally inconsistent: "
-            "vectors 0 and 2 differ by more than 2*eps_ray",
+            "ray class (0, 1, 2) has no orthogonal partner class",
         ),
         (  # class 0 is orthogonal to both other classes
             [[1.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]],
-            "ambiguous partner for ray class (0,): 2 classes are orthogonal within eps_orth",
+            "ambiguous partner for ray class (0,): classes (1,) and (2,) "
+            "both meet it at |overlap|^2 <= eps_ray*(2 - eps_ray)",
+        ),
+        (  # 0 ~ 1 ~ 2 as rays, and 0 is orthogonal to 2: a class is not its own partner
+            [[1.0, 1.0 - 5e-9, 0.0], [1.0 - 5e-9, 1.0, 1.0 - 5e-9], [0.0, 1.0 - 5e-9, 1.0]],
+            "ray class (0, 1, 2) has no orthogonal partner class",
         ),
     ],
-    ids=["inconsistent class", "ambiguous partner"],
+    ids=["inconsistent class", "ambiguous partner", "class meets only itself"],
 )
 def test_ray_classes_reject_a_hand_built_overlap_matrix(overlap, message):
     tol = Tolerances(eps_ray=1.1e-8)
     with pytest.raises(ValueError) as exc:
         analyzer._ray_classes(np.array(overlap), tol)
     assert str(exc.value) == message
+
+
+def _ray_chain(n: int, g: float) -> np.ndarray:
+    """Rows a_k (x) e_k and a_k_perp (x) e_k, k < n, with a_k = (cos k phi, sin k phi) and
+    cos phi = 1 - g: an exact orthonormal product basis whose neighbouring qubit rays have
+    1 - |<a_k|a_(k+1)>| = g, so that at g < eps_ray its rays chain into one class."""
+    turn = np.arange(n) * math.acos(1.0 - g)
+    a = np.stack([np.cos(turn), np.sin(turn)], axis=1)
+    a_perp = np.stack([-np.sin(turn), np.cos(turn)], axis=1)
+    eye = np.eye(n)
+    return np.array([np.kron(side[k], eye[k]) for k in range(n) for side in (a, a_perp)])
+
+
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("g, chained", [(5e-9, True), (9e-9, True), (1.5e-8, False), (1e-6, False)])
+def test_ray_chain_reads_one_verdict_in_every_row_order(n, g, chained):
+    rows, expected = _ray_chain(n, g), Partition((n,) if chained else (1,) * n)
+    for seed in range(50):
+        order = np.random.Generator(np.random.Philox(seed)).permutation(2 * n)
+        basis = ProductBasis(n, rows[order])
+        report = classify(basis)
+        assert verify_report(basis).valid
+        assert (report.valid, report.right_type) == (True, expected), (seed, report.diagnostics)
+
+
+# 1 - |overlap| of a drawn close pair of rays, in units of eps_ray: well inside one ray or
+# well outside it.  Near eps_ray itself roundoff can join two rays while their two
+# perpendiculars stay apart, and classify then reports an ambiguous partner.
+CLOSE_BANDS = ((0.1, 0.5), (2.0, 10.0))
+
+
+def _perp(ray: np.ndarray) -> np.ndarray:
+    return np.array([-ray[1].conjugate(), ray[0].conjugate()])
+
+
+@st.composite
+def ray_bases(draw):
+    """Exact orthonormal product bases at n <= 8 from arbitrary qubit rays, with the row
+    positions of each drawn block.  Each block's ray is Haar random, or turned from an
+    earlier block's ray or its perpendicular, by a 1 - |overlap| drawn from CLOSE_BANDS;
+    turning from the block just before makes chains.  The qudit frame, and each group's
+    basis of its block's subspace, are Haar random or the identity, and the rows come in a
+    drawn order."""
+    n = draw(st.integers(1, 8))
+    parts = draw(st.sampled_from(partitions_of(n))).parts
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32 - 1))))
+    haar_frame, haar_groups = draw(st.booleans()), draw(st.booleans())
+    frame = _unitary(rng, n) if haar_frame else np.eye(n, dtype=complex)
+    rays, rows, blocks = [], [], []
+    for j, m in enumerate(parts):
+        kind = draw(st.sampled_from(("haar", "turned", "turned from perp"))) if j else "haar"
+        if kind == "haar":
+            ray = _unitary(rng, 2)[0]
+        else:
+            ray = rays[draw(st.integers(0, j - 1))]
+            ray = _perp(ray) if kind == "turned from perp" else ray
+            low, high = draw(st.sampled_from(CLOSE_BANDS))
+            delta = draw(st.floats(low, high)) * DEFAULT_TOL.eps_ray
+            t, psi = 2.0 * math.asin(math.sqrt(delta / 2.0)), 2.0 * math.pi * rng.random()
+            ray = math.cos(t) * ray + math.sin(t) * np.exp(1j * psi) * _perp(ray)
+        rays.append(ray)
+        span = frame[:, sum(parts[:j]) : sum(parts[: j + 1])]
+        for side in (ray, _perp(ray)):
+            group = span @ (_unitary(rng, m) if haar_groups else np.eye(m))
+            rows += [np.kron(side, x) for x in group.T]
+        blocks.append(range(len(rows) - 2 * m, len(rows)))
+    order = draw(st.permutations(range(2 * n)))
+    position = np.argsort(order)
+    blocks = [frozenset(position[list(block)].tolist()) for block in blocks]
+    return ProductBasis(n, np.array(rows)[order]), blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(ray_bases())
+def test_classify_accepts_what_verify_accepts_on_bases_from_arbitrary_rays(case):
+    basis, blocks = case
+    report = classify(basis)
+    assert verify_report(basis).valid
+    assert report.valid, report.diagnostics
+    # each reported block is a union of drawn blocks, so its type coarsens the drawn one
+    drawn = {k: block for block in blocks for k in block}
+    for blk in report.blocks:
+        rows = set(blk.a_indices + blk.a_perp_indices)
+        assert rows == set().union(*(drawn[k] for k in rows))
 
 
 def test_swap_factors_needs_n_2():

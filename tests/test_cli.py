@@ -75,6 +75,24 @@ def test_verify_counterexample(tmp_path, capsys):
     assert "groupable but not orthonormal" in out
 
 
+@pytest.mark.parametrize(
+    "s, groupable, result",
+    [(1e-6, "yes", "groupable but not orthonormal"), (1e-3, "no", "not an orthonormal basis")],
+)
+def test_verify_pairs_qubit_rays_near_orthogonal(tmp_path, capsys, s, groupable, result):
+    """|0> and (s, sqrt(1 - s^2)) on e0, |+> and |-> on e1: the first two qubit rays are
+    orthogonal partners when s^2 <= eps_ray * (2 - eps_ray), though the rows are not
+    orthonormal."""
+    qubits = [(1.0, 0.0), (s, math.sqrt(1.0 - s * s)), (1 / RT2, 1 / RT2), (1 / RT2, -1 / RT2)]
+    qudits = [(1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 1.0)]
+    path = tmp_path / "near.json"
+    save_basis_file(path, ProductBasis(2, [np.kron(a, x) for a, x in zip(qubits, qudits)]))
+    rc = main(["verify", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert f"\ngroupable into subsystem bases: {groupable}\nresult: {result}\n" in out
+
+
 def test_verify_truncated_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     good = tmp_path / "good.json"

@@ -136,8 +136,17 @@ def test_orthonormalize_rejects_non_finite_vectors(value):
 
 def test_norm_is_the_euclidean_length_of_a_finite_vector():
     assert norm([3.0, 4.0j]) == 5.0
+    # entries whose squares overflow
+    assert norm([1e200, 1e200j, 3e199 + 4e199j]) == pytest.approx(1.5e200, rel=1e-15)
     with pytest.raises(ValueError, match="^vector has non-finite entries$"):
         norm([1.0, math.nan])
+
+
+def test_norm_agrees_with_numpy_on_random_vectors():
+    rng = _rng(7)
+    for _ in range(200):
+        v = rng.standard_normal(128) + 1j * rng.standard_normal(128)
+        assert norm(v) == pytest.approx(np.linalg.norm(v), rel=1e-15)
 
 
 def test_orthonormalize_idempotent_up_to_phase():

@@ -16,8 +16,10 @@ analyze_mixed input file they must also agree on the sha256 of the bytes of numb
 the CLI never prints, computed through public library names: both singular values
 of the file's rows from each 2xn kernel, the Gram residual of its rows (which the CLI
 prints to 7 digits) and `canonical_phase` of each row alone, `factor_arrays` of the
-loaded basis, every field of its `factorize_all` and the subspace bases of its
-`classify` blocks.
+loaded basis, every field of its `factorize_all`, and the subspace bases of its
+`classify` blocks and each block's `a_indices`, `a_perp_indices`, `multiplicity` and
+`groups_coincide`, so that the ray classes and partners are compared where no printed
+line shows them.
 Prints the call and digest counts, the first differences, each shown as the text
 around its first differing character, and, when stdout differs, in how many lines
 and up to what magnitude the numbers that differ on them go, so that a
@@ -116,6 +118,7 @@ def numbers(path: Path, work: Path) -> dict[str, str]:
     rows = read_basis(path)  # as written, so rows that the library rejects count too
     M = rows.reshape(len(rows), 2, -1)
     basis = functools.cache(lambda: load_basis_file(path))
+    blocks = functools.cache(lambda: classify(basis()).blocks)
     computed = {
         "stack singular values": lambda: singular_values_2xn_stack(M),
         "one-row singular values": lambda: zip(*map(singular_values_2xn, M)),
@@ -123,7 +126,12 @@ def numbers(path: Path, work: Path) -> dict[str, str]:
         "one-row canonical_phase": lambda: map(canonical_phase, rows),
         "factor_arrays": lambda: factor_arrays(basis().vectors),
         "factorize_all": lambda: [field for f in factorize_all(basis()) for field in f],
-        "classify subspaces": lambda: [b.subspace.basis for b in classify(basis()).blocks],
+        "classify subspaces": lambda: [b.subspace.basis for b in blocks()],
+        "classify blocks": lambda: [
+            field
+            for b in blocks()
+            for field in (b.a_indices, b.a_perp_indices, b.multiplicity, b.groups_coincide)
+        ],
     }
     return {name: _digest(compute, work) for name, compute in computed.items()}
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .analyzer import ProductBasis
-from .numerics import DEFAULT_TOL, Tolerances, _finite
+from .numerics import DEFAULT_TOL, Tolerances
 
 __all__ = ["BasisFileError", "load_basis_file", "read_g_bases", "save_basis_file"]
 
@@ -121,7 +121,8 @@ def _complex_rows(raw, width: int, where):
         rows = raw.view(np.complex128)[..., 0]
         if rows.shape[1] != width:
             raise BasisFileError(f"{where}: vector 0 must have {width} entries")
-        bad = [] if _finite(rows) else np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        finite = np.vdot(rows, rows).real < np.inf  # else tested row by row
+        bad = [] if finite else np.flatnonzero(~np.isfinite(rows).all(axis=1))
     else:
         rows, bad = [], []
         for k, row in enumerate(raw):

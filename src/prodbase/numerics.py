@@ -6,6 +6,7 @@ functions are pure and all returned values should be treated as immutable.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
 
@@ -75,21 +76,21 @@ def as_vector(v) -> np.ndarray:
     arr = np.asarray(v, dtype=np.complex128)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {arr.shape}")
-    return _finite_entries(arr)
-
-
-def _finite_entries(arr: np.ndarray) -> np.ndarray:
-    """`arr`, a vector or a 2-d array of row vectors, if its vectors are nonempty and finite."""
-    if arr.shape[-1] == 0:
-        raise ValueError("empty vector")
-    if not _finite(arr):
-        raise ValueError("vector has non-finite entries")
+    _exponent(arr)
     return arr
 
 
-def _finite(arr: np.ndarray):
-    """Whether `arr` is finite: its sum of squared moduli is, or, if that overflows, each entry."""
-    return np.vdot(arr, arr).real < math.inf or np.isfinite(arr).all()
+def _exponent(arr: np.ndarray, error: str = "vector has non-finite entries") -> int:
+    """The e for which 2**-e * `arr`, nonempty vectors, has squares in range, the scaling exact:
+    0 when its squared moduli sum below 2**500, else the e taking its largest real or imaginary
+    part into [1, 2).  ValueError(`error`) when an entry is a NaN or inf."""
+    if arr.shape[-1] == 0:
+        raise ValueError("empty vector")
+    if np.vdot(arr, arr).real < 2.0**500:
+        return 0
+    if not np.isfinite(arr).all():
+        raise ValueError(error)
+    return math.frexp(np.max(np.abs([arr.real, arr.imag])))[1] - 1
 
 
 def norm(v) -> float:
@@ -97,12 +98,17 @@ def norm(v) -> float:
 
 
 def inner(x, y) -> complex:
-    """Inner product <x|y>, conjugate-linear in the first argument."""
+    """Inner product <x|y>, conjugate-linear in x; where BLAS overflows, on 2**-e x and 2**-f y."""
     x = as_vector(x)
     y = as_vector(y)
     if x.size != y.size:
         raise ValueError(f"dim-mismatch: {x.size} vs {y.size}")
-    return complex(np.vdot(x, y))
+    z = complex(np.vdot(x, y))
+    if cmath.isfinite(z):
+        return z
+    e, f = _exponent(x), _exponent(y)  # BLAS overflowed, to inf or to inf - inf
+    z = complex(np.vdot(x * 2.0**-e, y * 2.0**-f))  # back in Python floats: no warning
+    return complex(z.real * 2.0**e * 2.0**f, z.imag * 2.0**e * 2.0**f)
 
 
 def canonical_phase(v) -> np.ndarray:
@@ -111,11 +117,15 @@ def canonical_phase(v) -> np.ndarray:
     Ties go to the lowest index, moduli within a relative 1e-12 of the largest
     counting as tied, so equivalent rays map to one deterministic
     representative whatever the roundoff.  A 2-d array is done row by row,
-    each row checked as a vector is.
+    each row checked as a vector is.  Where squares pass the float range it is done
+    on 2**-e times the input, scaled back in Python floats: past the range inf, no warning.
     """
-    if np.ndim(v) != 2:
-        return _canonical_phase_1d(as_vector(v))
-    rows = _finite_entries(np.asarray(v, dtype=np.complex128))
+    rows = np.asarray(v, dtype=np.complex128)
+    if e := _exponent(rows if rows.ndim in (1, 2) else as_vector(rows)):  # as_vector raises
+        parts = canonical_phase(rows * 2.0**-e).view(np.float64).ravel().tolist()
+        return np.array([x * 2.0**e for x in parts]).view(np.complex128).reshape(rows.shape)
+    if rows.ndim == 1:
+        return _canonical_phase_1d(rows)
     mod = np.abs(rows)
     first = np.argmax(mod >= (1.0 - 1e-12) * mod.max(axis=1, keepdims=True), axis=1)
     pivot = rows[np.arange(len(rows)), first]
@@ -137,11 +147,13 @@ def gram_residual(vectors) -> float:
     """Max absolute deviation from the identity of the Gram matrix of `vectors`,
     a (k, d) array or a sequence of k vectors, validated in one pass."""
     rows = np.asarray(vectors, dtype=np.complex128)
-    if rows.ndim != 2 or rows.size == 0 or not _finite(rows):
-        raise ValueError(f"expected a (k, d) array of finite vectors, got shape {rows.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):  # entries above ~1e154
-        residual = float(np.max(np.abs(rows.conj() @ rows.T - np.eye(len(rows)))))
-    return residual if residual == residual else math.inf  # inf - inf is no pass
+    error = f"expected a (k, d) array of finite vectors, got shape {rows.shape}"
+    if rows.ndim != 2 or rows.size == 0:
+        raise ValueError(error)
+    identity = np.eye(len(rows))
+    if e := _exponent(rows, error):  # |G - I| is 4**e |G' - 4**-e I|, G' that of 2**-e rows
+        rows, identity = rows * 2.0**-e, identity * 4.0**-e
+    return float(np.max(np.abs(rows.conj() @ rows.T - identity))) * 2.0**e * 2.0**e
 
 
 class _Subspace(NamedTuple):
@@ -161,8 +173,8 @@ class Subspace(_Subspace):
             raise ValueError(f"basis shape {b.shape} does not match ambient dim {ambient_dim}")
         if not 1 <= b.shape[1] <= ambient_dim:
             raise ValueError(f"subspace dimension {b.shape[1]} out of range")
-        finite = np.isfinite(b).all()  # tested first: an inf warns in the Gram product
-        if not (finite and np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))) <= 1e-6):
+        in_range = np.vdot(b, b).real < 2.0**500  # else a NaN, inf or huge entry warns below
+        if not (in_range and np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1]))) <= 1e-6):
             raise ValueError("basis columns are not orthonormal")
         b.flags.writeable = False
         return super().__new__(cls, ambient_dim, b)
@@ -185,8 +197,8 @@ def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     cols = np.asarray(vectors, dtype=np.complex128).T
     if cols.ndim != 2 or cols.size == 0:
         raise ValueError("zero-span: no input vectors")
-    u, sv, _ = np.linalg.svd(_finite_entries(cols), full_matrices=False)
-    scale = max(1.0, float(np.linalg.norm(cols, axis=0).max()))
+    scale = max(1.0, *map(norm, cols.T))  # each vector tested finite
+    u, sv, _ = np.linalg.svd(cols, full_matrices=False)
     rank = int(np.count_nonzero(sv > tol.eps_rank * scale))
     if rank == 0:
         raise ValueError("zero-span: input spans no direction")
@@ -233,7 +245,9 @@ def singular_values_2xn(m) -> tuple[float, float]:
     x, y = M[0], M[1]  # indexed: iterating over M costs 1 µs more
     p, s = float(np.vdot(x, x).real), float(np.vdot(y, y).real)
     if not p + s < 2.0**500:  # a NaN or inf entry, or squares of squares past the float range
-        return tuple(float(s[0]) for s in singular_values_2xn_stack(M[None]))
+        e = _exponent(M)  # the one rescue: 2**-e M alone still underflows a small row's squares
+        sv = np.linalg.svd(M * 2.0**-e, compute_uv=False).tolist()
+        return tuple(s * 2.0**e for s in [*sv, 0.0][:2])  # Python floats: no warning
     r0, r1 = (y, x) if s > p else (x, y)
     n0 = math.sqrt(max(p, s))
     return _sigmas(n0, r0 / (n0 or 1.0), r1, np.vdot, math.sqrt)
@@ -247,25 +261,18 @@ def singular_values_2xn_stack(ms) -> tuple[np.ndarray, np.ndarray]:
     than on the raw trace/determinant.  The raw determinant cancels
     catastrophically for near-rank-1 input and would floor sigma_2 at
     ~sqrt(machine eps); this form keeps sigma_2 accurate down to ~1e-16.
-    Each matrix gets the bits that `singular_values_2xn` gives it alone.
+    Each matrix gets the bits that `singular_values_2xn` gives it alone: a stack whose
+    squared moduli do not sum below 2**500 is done by that kernel, matrix by matrix.
     """
     M = _two_rows(ms, 3, "a stack of matrices")
-    # squares past the float range come out inf or NaN, and such matrices are rescued below
-    with np.errstate(over="ignore", invalid="ignore"):
-        squares = _row_dots(M, M).real
-        # the longer row goes first, so the cross term is taken against it
-        M = np.where(squares[:, 1:] > squares[:, :1], M[:, ::-1], M)
-        n0 = np.sqrt(squares.max(axis=1))
-        u = M[:, 0] / np.where(n0 > 0.0, n0, 1.0)
-        sigma1, sigma2 = (s[:, 0] for s in _sigmas(n0, u, M[:, 1], _row_dots, np.sqrt))
-    if not np.isfinite(sigma1).all():  # a NaN or inf entry, or squares past the float range
-        bad = ~np.isfinite(sigma1)
-        if not np.isfinite(M[bad]).all():
-            raise ValueError("vector has non-finite entries")
-        # LAPACK's SVD of each such matrix over its largest modulus keeps a tiny sigma_2
-        scale = np.max(np.abs([M[bad].real, M[bad].imag]), axis=(0, 2, 3))[:, None]
-        sv = np.linalg.svd(M[bad] / scale[:, :, None], compute_uv=False) * scale
-        sigma1[bad], sigma2[bad] = sv[:, 0], sv[:, 1] if sv.shape[1] > 1 else 0.0
+    if not np.vdot(M, M).real < 2.0**500:
+        return tuple(np.array([singular_values_2xn(m) for m in M]).T)
+    squares = _row_dots(M, M).real
+    # the longer row goes first, so the cross term is taken against it
+    M = np.where(squares[:, 1:] > squares[:, :1], M[:, ::-1], M)
+    n0 = np.sqrt(squares.max(axis=1))
+    u = M[:, 0] / np.where(n0 > 0.0, n0, 1.0)
+    sigma1, sigma2 = (s[:, 0] for s in _sigmas(n0, u, M[:, 1], _row_dots, np.sqrt))
     return (sigma1, sigma2)
 
 

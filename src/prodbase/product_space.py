@@ -22,6 +22,7 @@ from .numerics import (
     as_vector,
     canonical_phase,
     inner,
+    norm,
     singular_values_2xn,
     singular_values_2xn_stack,
 )
@@ -128,7 +129,7 @@ def qubit_orthogonal(a) -> np.ndarray:
     a = as_vector(a)
     if a.size != 2:
         raise ValueError(f"expected a qubit state, got dim {a.size}")
-    nrm = float(np.linalg.norm(a))
+    nrm = norm(a)
     if nrm < 1e-12:
         raise ValueError("zero vector has no orthogonal complement")
     perp = np.array([-np.conj(a[1]), np.conj(a[0])], dtype=np.complex128) / nrm

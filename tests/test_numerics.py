@@ -1,5 +1,7 @@
+import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -460,3 +462,90 @@ def test_the_one_pass_finiteness_test_raises_exactly_on_a_non_finite_entry(shape
         grid = arr.view(np.float64).reshape(2 * n, 2 * n, 2)
         want = None if huge else f"f: vector {at[0]} has non-finite entries"
         assert _error(lambda: _complex_rows(grid, 2 * n, "f")) == want
+
+
+# One overflow rule: arithmetic as it is where squared moduli sum in range, and on 2**-e times
+# the input, scaled back, where they do not.  Every test below runs with warnings as errors.
+
+
+def _quiet(call):
+    """`call()` with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return call()
+
+
+def test_inner_scales_where_the_blas_dot_overflows():
+    # OpenBLAS's zdotc formed inf - inf here, so <v|v> of a finite row read (nan+nanj)
+    v = np.array([1e155 * np.exp(0.3j), 0.0])
+    assert _quiet(lambda: inner(v, v)) == complex(math.inf, 0.0)
+    # products past the float range that cancel exactly, and that do not
+    x, y = np.array([1.0, 1j]) * 2.0**600, np.array([1.0, -1j]) * 2.0**500
+    assert _quiet(lambda: inner(x, y)) == 0.0
+    got = _quiet(lambda: inner([1e200, 1e200], [1e120, 1e120j]))
+    assert got == complex(math.inf, math.inf)
+
+
+def test_canonical_phase_past_the_float_range_reads_inf_without_a_warning():
+    # the pivot's modulus, 2.1e308, passes the float range: it used to read NaN, with two warnings
+    v = [1.5e308 + 1.5e308j, 1.0]
+    for out in (_quiet(lambda: canonical_phase(v)), _quiet(lambda: canonical_phase([v]))[0]):
+        assert out[0].real == math.inf and not np.isnan(out).any()
+        assert out[1] == pytest.approx((1.0 - 1.0j) / RT2, rel=1e-15)
+
+
+def test_orthonormalize_takes_its_scale_from_norm():
+    # np.linalg.norm of these columns overflowed, and the span read as empty
+    sub = _quiet(lambda: orthonormalize([[1e200, 0.0], [0.0, 1e200]]))
+    assert sub.dim == 2 and np.allclose(sub.projector(), np.eye(2))
+
+
+def _top_exponent(m):
+    """The t for which 2**t is the power of two just above every real and imaginary part of `m`."""
+    return math.frexp(float(np.max(np.abs([m.real, m.imag]))))[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("near rank one", "zero row", "zero")),
+    _LOG_SIGMA2,
+    st.integers(-1000, 1000),
+    st.integers(0, 700),
+)
+def test_power_of_two_scales_read_no_nan_and_warn_nowhere(n, seed, kind, log_sigma2, k, wide):
+    # rows 2**wide apart, as in [[1e200, 0], [0, 1]], scaled by 2**k short of the float range
+    m = _two_row_matrix(_rng(seed), n, kind, log_sigma2)
+    m[0] *= 2.0**wide
+    m *= 2.0 ** min(k, 1023 - _top_exponent(m))
+    assert np.isfinite(m).all()
+    one_row, stacked = _quiet(lambda: _both_kernels(m))
+    assert one_row == stacked and not np.isnan(one_row).any()
+    assert one_row[0] >= one_row[1] >= 0.0
+    assert one_row[0] > 0.0 or not (np.abs(m) > 1e-150).any()  # tiny entries are not scaled
+    for x in (m[0], m[1]):
+        for y in (m[0], m[1]):
+            assert not cmath.isnan(_quiet(lambda: inner(x, y)))
+        if x.any():
+            assert not np.isnan(_quiet(lambda: canonical_phase(x))).any()
+    if m.any(axis=1).all():
+        assert not np.isnan(_quiet(lambda: canonical_phase(m))).any()
+
+
+def _normal(z):
+    """Whether every real and imaginary part of `z` is 0 or a finite normal float."""
+    parts = np.abs(z.view(np.float64))
+    return bool(np.all((parts == 0.0) | ((parts >= 2.0**-1022) & (parts < math.inf))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 130), st.integers(0, 2**32 - 1), st.integers(-1000, 1000))
+def test_canonical_phase_commutes_with_powers_of_two(n, seed, k):
+    # on either side of the rule's threshold: 2**k v is done as v is, or scaled back to it
+    rng = _rng(seed)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    scaled, want = v * 2.0**k, canonical_phase(v) * 2.0**k
+    if _normal(scaled) and _normal(want):  # both exact: no part rounded below the normal range
+        assert _quiet(lambda: canonical_phase(scaled)).tobytes() == want.tobytes()
+        assert _quiet(lambda: canonical_phase(scaled[None]))[0].tobytes() == want.tobytes()

@@ -300,3 +300,9 @@ def test_one_row_kernels_match_the_batched_ones(m):
 def test_one_row_kernels_keep_their_input_errors(kernel, arg, message):
     with pytest.raises(ValueError, match=message):
         kernel(arg)
+
+
+def test_qubit_orthogonal_of_a_huge_state():
+    # np.linalg.norm of (1e200, 1e200) overflowed to inf, and the complement read as zero
+    out = qubit_orthogonal([1e200, 1e200])
+    assert out == pytest.approx(np.array([1.0, -1.0]) / RT2, rel=1e-15)

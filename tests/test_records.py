@@ -412,3 +412,10 @@ def test_no_module_imports_dataclasses():
     for path in paths:
         top_level = {name.partition(".")[0] for name in _imported_modules(path)}
         assert "dataclasses" not in top_level, path.name
+
+
+def test_subspace_tests_huge_columns_before_the_gram_product():
+    # the Gram product of these columns overflowed and warned before the error was raised
+    with pytest.raises(ValueError) as exc:
+        Subspace(2, [[1e200, 0.0], [0.0, 1.0]])
+    assert str(exc.value) == "basis columns are not orthonormal"

@@ -469,8 +469,10 @@ def mu_check(basis1, basis2, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float
     """
     A, B = (np.asarray(family, dtype=np.complex128) for family in (basis1, basis2))
     d = len(A)
-    if d == 0 or len(B) != d:
+    if len(B) != d:
         raise ValueError("not-a-basis: the two families have different sizes")
+    if d == 0:
+        raise ValueError("not-a-basis: both families are empty")
     if A.shape != (d, d) or B.shape != (d, d):
         raise ValueError("not-a-basis: vector count must equal the dimension")
     for name, fam in (("first", A), ("second", B)):

@@ -124,23 +124,14 @@ def canonical_phase(v) -> np.ndarray:
     if e := _exponent(rows if rows.ndim in (1, 2) else as_vector(rows)):  # as_vector raises
         parts = canonical_phase(rows * 2.0**-e).view(np.float64).ravel().tolist()
         return np.array([x * 2.0**e for x in parts]).view(np.complex128).reshape(rows.shape)
-    if rows.ndim == 1:
-        return _canonical_phase_1d(rows)
     mod = np.abs(rows)
-    first = np.argmax(mod >= (1.0 - 1e-12) * mod.max(axis=1, keepdims=True), axis=1)
-    pivot = rows[np.arange(len(rows)), first]
-    if not pivot.all():
+    top = mod.max(axis=-1, keepdims=True)
+    if not top.all():
         raise ValueError("cannot phase-canonicalize the zero vector")
-    return rows * (np.abs(pivot) / pivot)[:, None]
-
-
-def _canonical_phase_1d(v: np.ndarray) -> np.ndarray:
-    """`canonical_phase` of `v`, a finite 1-d complex128 array, unchecked."""
-    mod = np.abs(v)
-    at = (mod >= (1.0 - 1e-12) * mod.max()).argmax()  # np.argmax adds 2 µs a call
-    if not v[at]:
-        raise ValueError("cannot phase-canonicalize the zero vector")
-    return v * (mod[at] / v[at])
+    at = (mod >= (1.0 - 1e-12) * top).argmax(axis=-1)  # the first entry tied with the largest
+    if rows.ndim == 2:  # one (row, entry) pair per row; a vector's index stays a scalar
+        at = np.arange(len(rows))[:, None], at[:, None]
+    return rows * (mod[at] / rows[at])
 
 
 def gram_residual(vectors) -> float:
@@ -195,8 +186,10 @@ def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     vectors whose singular values exceed eps_rank * max(1, largest input norm),
     so the result dimension is the numeric rank of the input."""
     cols = np.asarray(vectors, dtype=np.complex128).T
-    if cols.ndim != 2 or cols.size == 0:
+    if cols.size == 0:
         raise ValueError("zero-span: no input vectors")
+    if cols.ndim != 2:
+        raise ValueError(f"expected a (k, d) array of vectors, got shape {cols.T.shape}")
     scale = max(1.0, *map(norm, cols.T))  # each vector tested finite
     u, sv, _ = np.linalg.svd(cols, full_matrices=False)
     rank = int(np.count_nonzero(sv > tol.eps_rank * scale))

@@ -1,11 +1,13 @@
 """Kronecker products of a qubit with a qudit, and the inverse factorization.
 
-The coordinate convention is row-major with the qubit index major: the entry
-of ``kron(a, b)`` at index ``k*n + j`` is ``a[k] * b[j]``, so reshaping a
-vector of C^(2n) to a 2 x n matrix recovers the outer product of its factors.
+The coordinate convention is row-major with the qubit index major: the entry of
+``kron(a, b)`` at index ``k*n + j`` is ``a[k] * b[j]``, so `_qubit_split`, the one shape
+rule of both factor kernels, reshapes a vector of C^(2n) to the outer product of its factors.
 
 `factorize` does one vector from its scalar Gram entries, `factor_arrays` a stack in one
 batched call, each the cheaper at its size for numpy's per-call cost; their sigma_2 is equal.
+The factors are scale-free, so `factor_arrays` takes them from 2**-e times each row whose
+largest real or imaginary part leaves [2**-240, 2**240], that part then in [1, 2).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
-    _canonical_phase_1d,
     as_vector,
     canonical_phase,
     inner,
@@ -61,6 +62,13 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
+def _qubit_split(v: np.ndarray) -> np.ndarray:
+    """Each vector of C^(2n) along the last axis of `v` as a 2 x n matrix, qubit index major."""
+    if v.shape[-1] % 2:
+        raise ValueError(f"odd dimension {v.shape[-1]}: cannot split off a qubit factor")
+    return v.reshape(*v.shape[:-1], 2, v.shape[-1] // 2)
+
+
 def factor_arrays(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factorize every row of a (k, 2n) array in one batched call.
 
@@ -70,11 +78,20 @@ def factor_arrays(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     negligible; for an entangled row A and B hold only its dominant pair.
     For the Gram [[p, q], [q*, s]] and lam = sigma1**2, the qubit factor is the
     longer of (q, lam - p) and (lam - s, q*), so no difference of nearly equal
-    numbers decides it; (1, 0) when both vanish (sigma1 = sigma2).
+    numbers decides it; (1, 0) when both vanish (sigma1 = sigma2); a zero row raises.
     """
-    rows = np.asarray(rows, dtype=np.complex128)
-    M = rows.reshape(len(rows), 2, -1)
-    sigma1, sigma2 = singular_values_2xn_stack(M)
+    rows = np.asarray(rows, dtype=np.complex128, order="C")  # viewed as floats below
+    if rows.ndim != 2 or rows.size == 0:
+        raise ValueError(f"expected a (k, 2n) array of rows, got shape {rows.shape}")
+    M = _qubit_split(rows)
+    sigma1, sigma2 = singular_values_2xn_stack(M)  # also tests every entry finite
+    big = np.abs(rows.view(np.float64)).max(axis=1)  # each row's largest real or imaginary part
+    if (outside := (big < 2.0**-240) | (big > 2.0**240)).any():
+        if not big.all():
+            raise ValueError(f"zero row {big.argmin()}: a zero vector has no factors")
+        e = (np.frexp(big)[1] - 1) * outside  # 0 in the window: those rows keep their bits
+        M = np.ldexp(M.view(np.float64), -e[:, None, None]).view(np.complex128)  # subnormals too
+        sigma1 = singular_values_2xn_stack(M)[0]
     G = M @ M.conj().transpose(0, 2, 1)
     p, s = G[:, 0, 0].real.copy(), G[:, 1, 1].real.copy()
     G[:, 0, 0], G[:, 1, 1] = sigma1**2 - s, sigma1**2 - p  # columns (lam - s, q*), (q, lam - p)
@@ -97,13 +114,10 @@ def factorize(v, tol: Tolerances = DEFAULT_TOL):
     from the Gram entries as Python numbers: sigma_2 bit for bit, factors to roundoff.
     """
     v = as_vector(v)
-    if v.size % 2 != 0:
-        raise ValueError(f"odd dimension {v.size}: cannot split off a qubit factor")
-    n = v.size // 2
+    M = _qubit_split(v)
     nrm2 = float(np.vdot(v, v).real)  # NaN, not inf, where squares overflow inside BLAS
     if not abs(nrm2 - 1.0) <= tol.eps_unit:
         raise ValueError(f"not-normalized: <v|v> = {nrm2 if nrm2 == nrm2 else math.inf!r}")
-    M = v.reshape(2, n)
     sigma1, sigma2 = singular_values_2xn(M)
     if sigma2 > tol.eps_rank:
         return NotAProduct(sigma2=sigma2)
@@ -115,7 +129,7 @@ def factorize(v, tol: Tolerances = DEFAULT_TOL):
     scale = abs(pivot) / pivot / math.hypot(abs(a0), abs(a1))
     a = np.array([a0 * scale, a1 * scale])
     b = a.conj() @ M
-    b = _canonical_phase_1d(b / math.sqrt(float(np.vdot(b, b).real)))  # finite, as v is
+    b = canonical_phase(b / math.sqrt(float(np.vdot(b, b).real)))  # finite, as v is
     full = (a[:, None] * b).ravel()
     ph = inner(full, v)
     return ProductVector(a=a, b=b, full=full, phase=ph / abs(ph))

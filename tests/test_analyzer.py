@@ -292,6 +292,14 @@ def test_mu_check_rejects_non_basis():
         mu_check(good[:2], good[:2])
 
 
+def test_mu_check_names_empty_families():
+    # two empty families used to read as "different sizes"
+    with pytest.raises(ValueError, match="^not-a-basis: both families are empty$"):
+        mu_check([], [])
+    with pytest.raises(ValueError, match="^not-a-basis: the two families have different sizes$"):
+        mu_check(list(np.eye(2)), [])
+
+
 def test_product_basis_validation():
     eye = np.eye(4, dtype=complex)
     with pytest.raises(ValueError):

@@ -130,6 +130,14 @@ def test_orthonormalize_zero_span():
         orthonormalize([])
 
 
+@pytest.mark.parametrize("vectors", [[1.0, 0.0], np.ones((2, 2, 2))], ids=["one-vector", "3-d"])
+def test_orthonormalize_names_a_shape_that_is_not_a_list_of_vectors(vectors):
+    # a flat vector or a 3-d array used to read as "zero-span: no input vectors"
+    shape = np.shape(vectors)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        orthonormalize(vectors)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, complex(math.inf, math.nan)])
 def test_orthonormalize_rejects_non_finite_vectors(value):
     with pytest.raises(ValueError, match="^vector has non-finite entries$"):
@@ -325,6 +333,13 @@ def test_tolerances_validated():
     assert DEFAULT_TOL.eps_unit == 1e-9
     assert DEFAULT_TOL.eps_rank == 1e-8
     assert DEFAULT_TOL.eps_ray == 1e-8
+
+
+@pytest.mark.parametrize("shape", [(4,), (0, 4), (3, 0)])
+def test_gram_residual_names_a_shape_without_vectors(shape):
+    want = f"expected a (k, d) array of finite vectors, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        gram_residual(np.ones(shape))
 
 
 def test_gram_residual_takes_an_array_or_its_rows():

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from prodbase.generator import TypeSpec, generate_from_type
 from prodbase.numerics import (
     Tolerances,
     canonical_phase,
@@ -12,6 +14,7 @@ from prodbase.numerics import (
     singular_values_2xn,
     singular_values_2xn_stack,
 )
+from prodbase.partitions import partitions_of
 from prodbase.product_space import NotAProduct, factor_arrays, factorize, kron, qubit_orthogonal
 
 RT2 = math.sqrt(2.0)
@@ -306,3 +309,113 @@ def test_qubit_orthogonal_of_a_huge_state():
     # np.linalg.norm of (1e200, 1e200) overflowed to inf, and the complement read as zero
     out = qubit_orthogonal([1e200, 1e200])
     assert out == pytest.approx(np.array([1.0, -1.0]) / RT2, rel=1e-15)
+
+
+# One contract for both factor kernels: one shape rule, and factors from the whole float range.
+# Every test below runs with warnings as errors.
+
+
+@pytest.mark.parametrize(
+    "row, qubit, qudit",
+    [
+        ([1e80, 0, 0, 0], [1, 0], [1, 0]),
+        ([1e-100, 0, 0, 0], [1, 0], [1, 0]),
+        ([0, 0, 3e200j, 4e200j], [0, 1], [0.6, 0.8]),
+        ([5e-324, 0, 0, 0], [1, 0], [1, 0]),
+    ],
+    ids=["1e80", "1e-100", "huge-second-row", "subnormal"],
+)
+def test_factor_arrays_takes_rows_of_any_finite_scale(row, qubit, qudit):
+    # the qubit factor used to take each entry's fourth power: 1e80 and 1e-100 warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (a,), (b,), (sigma2,) = factor_arrays(np.array([row]))
+    assert a == pytest.approx(np.array(qubit), abs=1e-15)
+    assert b == pytest.approx(np.array(qudit), abs=1e-15)
+    assert sigma2 == 0.0
+
+
+ROWS = "expected a (k, 2n) array of rows, got shape "
+ODD = "odd dimension 3: cannot split off a qubit factor"
+ZERO = ": a zero vector has no factors"
+
+
+@pytest.mark.parametrize(
+    "kernel, arg, message",
+    [
+        (factor_arrays, np.zeros((1, 4)), "zero row 0" + ZERO),
+        (factor_arrays, np.eye(4)[[0, 3, 1]] * [[1], [1], [0]], "zero row 2" + ZERO),
+        (factor_arrays, np.zeros((0, 4)), ROWS + "(0, 4)"),
+        (factor_arrays, np.zeros((2, 0)), ROWS + "(2, 0)"),
+        (factor_arrays, np.array([1.0, 0, 0, 0]), ROWS + "(4,)"),
+        (factor_arrays, np.ones((1, 2, 4)), ROWS + "(1, 2, 4)"),
+        (factor_arrays, np.ones((1, 3)), ODD),
+        (factorize, np.ones(3) / math.sqrt(3.0), ODD),
+    ],
+    ids=["zero", "zero-third", "no-rows", "empty-rows", "one-row", "3-d", "odd", "odd-one-row"],
+)
+def test_factor_kernels_name_what_is_wrong_with_their_input(kernel, arg, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            kernel(arg)
+    assert str(info.value) == message
+
+
+def test_factor_arrays_takes_rows_in_any_memory_order():
+    rows = np.array(generate_from_type(TypeSpec(n=3, partition=(2, 1), seed=2)).vectors)
+    want = [x.tobytes() for x in factor_arrays(rows)]
+    for view in (np.asfortranarray(rows), np.repeat(rows, 2, axis=1)[:, ::2]):
+        assert [x.tobytes() for x in factor_arrays(view)] == want
+
+
+def _parts(rows: np.ndarray) -> np.ndarray:
+    """The moduli of the real and imaginary parts of `rows` that are not zero."""
+    parts = np.abs(rows.view(np.float64))
+    return parts[parts > 0.0]
+
+
+@st.composite
+def rows_at_any_scale(draw):
+    """Rows of C^(2n): a generated basis (n <= 16, any partition), random entangled rows, or
+    either with each row times its own power of two, 2**-900 to 2**900."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 16))
+        spec = TypeSpec(
+            n=n,
+            partition=draw(st.sampled_from(partitions_of(n))),
+            seed=seed,
+            subspace_mode=draw(st.sampled_from(("identity-blocks", "haar-random"))),
+        )
+        rows = np.array(generate_from_type(spec).vectors)
+    else:
+        rng = _rng(seed)
+        rows = np.array([_random_unit(rng, 2 * draw(st.integers(1, 16)))])
+        rows = np.concatenate([rows, [_random_unit(rng, rows.shape[1]) for _ in range(4)]])
+    if draw(st.booleans()):
+        shift = st.sampled_from((-900, -300, 0, 3, 300, 900))
+        shifts = draw(st.lists(shift, min_size=len(rows), max_size=len(rows)))
+        rows = np.ldexp(rows.view(np.float64), np.array(shifts)[:, None])
+        rows = rows.view(np.complex128)
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows_at_any_scale(), st.data())
+def test_factor_arrays_commutes_with_powers_of_two(rows, data):
+    # every part stays a normal float at 2**k: 2**k rows has the factors of rows, bit for bit
+    parts = _parts(rows)
+    low = max(-1000, -1021 - math.frexp(float(parts.min()))[1])  # smallest part >= 2**-1022
+    high = min(1000, 1024 - math.frexp(float(parts.max()))[1])  # largest part < 2**1024
+    assume(low <= 0 <= high)
+    k = data.draw(st.integers(low, high) | st.sampled_from((low, high)), label="k")
+    scaled = np.ldexp(rows.view(np.float64), k).view(np.complex128)
+    assert np.isfinite(scaled).all() and _parts(scaled).min() >= np.finfo(float).tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b, _ = factor_arrays(rows)
+        A, B, sigma2 = factor_arrays(scaled)
+        stack = singular_values_2xn_stack(scaled.reshape(len(rows), 2, -1))[1]
+    assert A.tobytes() == a.tobytes() and B.tobytes() == b.tobytes()
+    assert sigma2.tobytes() == stack.tobytes()

@@ -9,7 +9,9 @@ groups each block's A-perp side is turned by its own Haar unitary; the turns
 are drawn block by block in stream order and factored with one stacked QR per
 block size.  Nothing searches or retries.  `named_family` builds the small
 catalog of fixed bases in d = 4 and d = 6 (including the mutually unbiased
-triples) plus the four-vector set that groups cleanly without being a basis.
+triples) plus the four-vector set that groups cleanly without being a basis;
+its builders are the private module `_families`, which `named_family` imports once a
+call's parameters are checked, so that no other command compiles them.
 
 All randomness flows through counter-based Philox streams keyed by the caller
 seed, so identical inputs reproduce identical bases bit for bit.
@@ -22,17 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analyzer import ProductBasis, mu_check
-from .numerics import (
-    DEFAULT_TOL,
-    OMEGA,
-    OMEGA2,
-    Tolerances,
-    canonical_phase,
-    gram_residual,
-)
+from .analyzer import ProductBasis
+from .numerics import DEFAULT_TOL, OMEGA, OMEGA2, Tolerances, canonical_phase
 from .partitions import Partition, _check_range
-from .product_space import kron, qubit_orthogonal
+from .product_space import qubit_orthogonal
 
 __all__ = [
     "SKEW_MARGIN",
@@ -242,11 +237,6 @@ def generate_from_type(spec: TypeSpec, tol: Tolerances = DEFAULT_TOL) -> Product
     return ProductBasis(n, rows, tol=tol, meta=meta)
 
 
-def _basis_from_factors(n: int, pairs, meta=None, tol: Tolerances = DEFAULT_TOL) -> ProductBasis:
-    """Assemble a ProductBasis from (qubit, qudit) factor pairs."""
-    return ProductBasis(n, [kron(a, b) for a, b in pairs], tol=tol, meta=meta)
-
-
 # The single-basis catalog: n, the Pauli axes of the default qubit rays a0, a1, ...,
 # and the basis rows in the paper's order as (qubit, qudit) names.  p<k> is the ray
 # orthogonal to a<k>; e<j> is the j-th coordinate vector of C^n, x0/x1 the x
@@ -266,87 +256,6 @@ _CODED_FAMILIES = ("d4_mupb_triple", "d6_mub_triple", "general_mupb_triple", "co
 FAMILY_TAGS = tuple(sorted([*_FAMILY_TABLE, *_CODED_FAMILIES]))
 
 
-def _table_family(params: FamilyParams, tol: Tolerances) -> ProductBasis:
-    """Assemble a basis of _FAMILY_TABLE from its names, on params.qubit_states when
-    given and otherwise on the +1 eigenvectors of the row's axes."""
-    tag = params.family
-    n, axes, rows = _FAMILY_TABLE[tag]
-    states = params.qubit_states
-    if states is None:
-        states = [PAULI_EIGENBASES[axis][0] for axis in axes]
-    if len(states) != len(axes):
-        raise ValueError(f"family {tag!r} needs {len(axes)} qubit states, got {len(states)}")
-    e = np.eye(n, dtype=np.complex128)
-    vectors = {f"e{j}": e[:, j] for j in range(n)}
-    for k, state in enumerate(states):
-        a = np.asarray(state, dtype=np.complex128)
-        if a.shape != (2,) or not abs(np.vdot(a, a).real - 1.0) <= tol.eps_unit:
-            raise ValueError(f"family {tag!r}: qubit state {k} is not a unit vector of C^2")
-        vectors[f"a{k}"], vectors[f"p{k}"] = a, qubit_orthogonal(a)
-    if n == 2:
-        vectors["x0"], vectors["x1"] = PAULI_EIGENBASES["x"]
-    else:
-        vectors.update((f"f{j}", MUB6_FACTORS[0][1][:, j]) for j in range(n))
-    if tag == "d6_B1":  # e0 and e1 turned by (alpha, beta): the one computed qudit pair
-        alpha = beta = complex(1.0 / math.sqrt(2.0))
-        if params.unitary_params:
-            if len(params.unitary_params) != 2:
-                raise ValueError("d6_B1 takes exactly two unitary parameters (alpha, beta)")
-            alpha, beta = (complex(x) for x in params.unitary_params)
-        norm2 = abs(alpha) ** 2 + abs(beta) ** 2
-        if not abs(norm2 - 1.0) <= 1e-12:  # NaN fails here too
-            raise ValueError(f"|alpha|^2 + |beta|^2 must be 1, got {norm2!r}")
-        vectors["u0"] = alpha * e[:, 0] + beta * e[:, 1]
-        vectors["u1"] = np.conj(beta) * e[:, 0] - np.conj(alpha) * e[:, 1]
-    pairs = [[vectors[name] for name in row.split()] for row in rows.split(", ")]
-    return _basis_from_factors(n, pairs, meta={"family": tag}, tol=tol)
-
-
-def _assemble_triple(sides, tag: str, key: str, labels, tol: Tolerances) -> list[ProductBasis]:
-    """Per Pauli axis z, x, y: its plus state with each row of its first qudit basis in
-    `sides`, its minus state with each row of its second, and meta {"family": tag, key: label}."""
-    bases = []
-    for axis, label, (g0, g1) in zip("zxy", labels, sides):
-        plus, minus = PAULI_EIGENBASES[axis]
-        pairs = [(plus, v) for v in g0] + [(minus, v) for v in g1]
-        bases.append(_basis_from_factors(len(g0), pairs, meta={"family": tag, key: label}, tol=tol))
-    return bases
-
-
-def _general_mupb_triple(params: FamilyParams, tol: Tolerances) -> list[ProductBasis]:
-    """Unbiased triple of product bases from user-supplied qudit bases.
-
-    g_bases maps z0, z1, x0, x1, y0, y1 to orthonormal bases of C^n.  The
-    construction is only assembled, never completed: the caller's bases must
-    already make the three product bases pairwise unbiased, which is checked
-    and enforced here.
-    """
-    if not params.g_bases:
-        raise ValueError("general_mupb_triple requires g_bases with keys z0,z1,x0,x1,y0,y1")
-    keys = ("z0", "z1", "x0", "x1", "y0", "y1")
-    if set(params.g_bases) != set(keys):
-        raise ValueError(f"g_bases must have exactly the keys {keys}")
-    g = {key: np.asarray(params.g_bases[key], dtype=np.complex128) for key in keys}
-    n = len(g["z0"])
-    for key in keys:
-        if g[key].shape != (n, n):
-            raise ValueError(f"g_bases[{key!r}] must be n vectors of dim n")
-        res = gram_residual(g[key])
-        if res > tol.eps_orth:
-            raise ValueError(f"g_bases[{key!r}] is not orthonormal (residual {res:.6e})")
-    sides = [(g[f"{axis}0"], g[f"{axis}1"]) for axis in "zxy"]
-    bases = _assemble_triple(sides, "general_mupb_triple", "axis", "zxy", tol)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            ok, dev = mu_check(bases[i].vectors, bases[j].vectors, tol)
-            if not ok:
-                raise ValueError(
-                    f"supplied g_bases do not give unbiased product bases: "
-                    f"pair ({i}, {j}) deviates by {dev:.6e}"
-                )
-    return bases
-
-
 def named_family(params: FamilyParams, tol: Tolerances = DEFAULT_TOL):
     """Build a catalog basis (or list of bases, for the unbiased triples).
 
@@ -362,6 +271,8 @@ def named_family(params: FamilyParams, tol: Tolerances = DEFAULT_TOL):
     ):
         if given and not takes:
             raise ValueError(f"family {tag!r} does not take {field}")
+    from ._families import _assemble_triple, _basis_from_factors, _general_mupb_triple, _table_family
+
     if tag in _FAMILY_TABLE:
         return _table_family(params, tol)
     if tag == "general_mupb_triple":

@@ -233,7 +233,9 @@ def _sigmas(n0, u, r1, dot, sqrt):
 
 def singular_values_2xn(m) -> tuple[float, float]:
     """The two singular values (descending) of a finite matrix with 2 rows: the bits of
-    `singular_values_2xn_stack`, from the same `_sigmas` on one row, a cheaper call for one."""
+    `singular_values_2xn_stack`, from the same `_sigmas` on one row, a cheaper call for one.
+    A nonzero matrix whose squared moduli sum below 2**-500 is done as 2**-e times it, its
+    largest real or imaginary part in [1, 2), and its sigmas scaled back by 2**e."""
     M = _two_rows(m, 2, "a matrix")
     x, y = M[0], M[1]  # indexed: iterating over M costs 1 µs more
     p, s = float(np.vdot(x, x).real), float(np.vdot(y, y).real)
@@ -241,9 +243,16 @@ def singular_values_2xn(m) -> tuple[float, float]:
         e = _exponent(M)  # the one rescue: 2**-e M alone still underflows a small row's squares
         sv = np.linalg.svd(M * 2.0**-e, compute_uv=False).tolist()
         return tuple(s * 2.0**e for s in [*sv, 0.0][:2])  # Python floats: no warning
+    e = 0
+    if p + s < 2.0**-500 and M.any():  # squares that underflow: the sigmas of 2**-e M
+        parts = np.ascontiguousarray(M).view(np.float64)
+        e = math.frexp(np.abs(parts).max())[1] - 1
+        x, y = np.ldexp(parts, -e).view(np.complex128)  # exact, subnormals too: no 2**-e formed
+        p, s = float(np.vdot(x, x).real), float(np.vdot(y, y).real)
     r0, r1 = (y, x) if s > p else (x, y)
     n0 = math.sqrt(max(p, s))
-    return _sigmas(n0, r0 / (n0 or 1.0), r1, np.vdot, math.sqrt)
+    sigma1, sigma2 = _sigmas(n0, r0 / (n0 or 1.0), r1, np.vdot, math.sqrt)
+    return math.ldexp(sigma1, e), math.ldexp(sigma2, e)
 
 
 def singular_values_2xn_stack(ms) -> tuple[np.ndarray, np.ndarray]:
@@ -255,16 +264,17 @@ def singular_values_2xn_stack(ms) -> tuple[np.ndarray, np.ndarray]:
     catastrophically for near-rank-1 input and would floor sigma_2 at
     ~sqrt(machine eps); this form keeps sigma_2 accurate down to ~1e-16.
     Each matrix gets the bits that `singular_values_2xn` gives it alone: a stack whose
-    squared moduli do not sum below 2**500 is done by that kernel, matrix by matrix.
+    squared moduli do not sum below 2**500, or that holds a matrix whose own squares sum
+    below 2**-500, a zero matrix too, is done by that kernel, matrix by matrix.
     """
     M = _two_rows(ms, 3, "a stack of matrices")
-    if not np.vdot(M, M).real < 2.0**500:
+    squares = _row_dots(M, M).real if np.vdot(M, M).real < 2.0**500 else None
+    if squares is None or (squares.sum(axis=1) < 2.0**-500).any():
         return tuple(np.array([singular_values_2xn(m) for m in M]).T)
-    squares = _row_dots(M, M).real
     # the longer row goes first, so the cross term is taken against it
     M = np.where(squares[:, 1:] > squares[:, :1], M[:, ::-1], M)
     n0 = np.sqrt(squares.max(axis=1))
-    u = M[:, 0] / np.where(n0 > 0.0, n0, 1.0)
+    u = M[:, 0] / n0
     sigma1, sigma2 = (s[:, 0] for s in _sigmas(n0, u, M[:, 1], _row_dots, np.sqrt))
     return (sigma1, sigma2)
 

@@ -20,6 +20,7 @@ import numpy as np
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
+    _exponent,
     as_vector,
     canonical_phase,
     inner,
@@ -54,12 +55,25 @@ class NotAProduct(NamedTuple):
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product of a qubit state with a qudit state."""
+    """Kronecker product of a qubit state with a qudit state.  Where a part of a product may
+    pass the float range, each qubit entry's block is done on the two factors scaled down by
+    an exact 2**s in all, just enough, and scaled back in Python floats: past the range inf,
+    no warning, and one entry's scaling never takes the other's products below the range."""
     a = as_vector(a)
     b = as_vector(b)
     if a.size != 2:
         raise ValueError(f"first factor must live in C^2, got dim {a.size}")
-    return np.kron(a, b)
+    if not (_exponent(a) or _exponent(b)):
+        return np.kron(a, b)
+    a, b = (np.ascontiguousarray(v).view(np.float64) for v in (a, b))  # parts, scaled exactly
+    f, parts = math.frexp(np.abs(b).max())[1] - 1, []
+    for x in (a[:2], a[2:]):
+        e = math.frexp(np.abs(x).max())[1] - 1
+        s = max(e + f - 1020, 0)  # each part of a product is below 2**(e + f + 3)
+        g = min(s, max(e, 0))  # x's share of the shift; b's, s - g, is at most 3
+        x, y = (np.ldexp(v, -k).view(np.complex128) for v, k in ((x, g), (b, s - g)))
+        parts += [p * 2.0**g * 2.0 ** (s - g) for p in np.kron(x, y).view(np.float64).tolist()]
+    return np.array(parts).view(np.complex128)
 
 
 def _qubit_split(v: np.ndarray) -> np.ndarray:

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
+import prodbase._structure as structure
 import prodbase.analyzer as analyzer
+from prodbase._structure import _span_distance
 from prodbase.analyzer import (
     ProductBasis,
     StructureReport,
-    _span_distance,
     check_groupable,
     check_pairwise_condition,
     classify,
@@ -586,7 +587,7 @@ def _crafted_chain_basis(n: int) -> ProductBasis:
 
 
 def test_component_labels_take_a_logarithmic_number_of_rounds(monkeypatch):
-    counting, real, seen = _CountingNumpy(), analyzer._component_labels, []
+    counting, real, seen = _CountingNumpy(), structure._component_labels, []
 
     def labels_of(adjacent):
         before = counting.rounds
@@ -594,14 +595,14 @@ def test_component_labels_take_a_logarithmic_number_of_rounds(monkeypatch):
         seen.append((len(adjacent), counting.rounds - before))
         return labels
 
-    monkeypatch.setattr(analyzer, "np", counting)
-    monkeypatch.setattr(analyzer, "_component_labels", labels_of)
+    monkeypatch.setattr(structure, "np", counting)
+    monkeypatch.setattr(structure, "_component_labels", labels_of)
     rng = np.random.Generator(np.random.Philox(10))
     for v in (128, 256, 512):
         path = np.eye(v, k=1, dtype=bool) | np.eye(v, k=-1, dtype=bool)  # least vertex at an end
-        assert not analyzer._component_labels(path).any()
+        assert not structure._component_labels(path).any()
         order = rng.permutation(v)  # the least vertex anywhere along the path
-        assert not analyzer._component_labels(path[order][:, order]).any()
+        assert not structure._component_labels(path[order][:, order]).any()
     report = analyzer.verify_report(_crafted_chain_basis(64))
     assert (report.pairwise, report.groupable) == (False, False)
     assert [v for v, _ in seen[-2:]] == [128, 256]  # the ray classes, the two-colouring
@@ -612,7 +613,7 @@ def _rounds_over_log2(call, *args) -> int:
     """The most rounds that a `_component_labels` call made by `call(*args)` takes beyond
     ceil(log2 V) for its V vertices, reported to Hypothesis, by the name of `call`, as the
     figure to drive up."""
-    counting, real, excess = _CountingNumpy(), analyzer._component_labels, []
+    counting, real, excess = _CountingNumpy(), structure._component_labels, []
 
     def labels_of(adjacent):
         before = counting.rounds
@@ -621,8 +622,8 @@ def _rounds_over_log2(call, *args) -> int:
         return labels
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analyzer, "np", counting)
-        patch.setattr(analyzer, "_component_labels", labels_of)
+        patch.setattr(structure, "np", counting)
+        patch.setattr(structure, "_component_labels", labels_of)
         call(*args)
     target(float(max(excess)), label=call.__name__)
     return max(excess)
@@ -650,7 +651,7 @@ def labelling_graphs(draw):
 @settings(max_examples=200, deadline=None)
 @given(labelling_graphs())
 def test_search_finds_no_graph_that_takes_more_than_log2_rounds_plus_2(adjacent):
-    assert _rounds_over_log2(lambda: analyzer._component_labels(adjacent)) <= 2
+    assert _rounds_over_log2(lambda: structure._component_labels(adjacent)) <= 2
 
 
 @st.composite
@@ -798,7 +799,7 @@ def _classify_block_by_block(basis, tol=DEFAULT_TOL):
     stopping at the first failure.  Returns (diagnostic, None) or (None, blocks)."""
     qubits, qudits, _ = factor_arrays(basis.vectors)
     try:
-        classes, partner = analyzer._ray_classes(np.abs(qubits.conj() @ qubits.T), tol)
+        classes, partner = structure._ray_classes(np.abs(qubits.conj() @ qubits.T), tol)
     except ValueError as exc:
         return str(exc), None
     blocks = []
@@ -921,7 +922,7 @@ def test_ray_classes_are_ascending_tuples_in_first_member_order():
     rng = np.random.Generator(np.random.Philox(9))
     base = generate_from_type(TypeSpec(n=64, partition=Partition((8,) * 8), seed=1))
     basis = ProductBasis(64, base.vectors[rng.permutation(128)])
-    classes, _ = analyzer._ray_classes(basis._factors.qubit_overlaps, DEFAULT_TOL)
+    classes, _ = structure._ray_classes(basis._factors.qubit_overlaps, DEFAULT_TOL)
     assert sorted(k for c in classes for k in c) == list(range(128))
     assert all(list(c) == sorted(c) for c in classes)
     assert [c[0] for c in classes] == sorted(c[0] for c in classes)
@@ -949,7 +950,7 @@ def test_ray_classes_are_ascending_tuples_in_first_member_order():
 def test_ray_classes_reject_a_hand_built_overlap_matrix(overlap, message):
     tol = Tolerances(eps_ray=1.1e-8)
     with pytest.raises(ValueError) as exc:
-        analyzer._ray_classes(np.array(overlap), tol)
+        structure._ray_classes(np.array(overlap), tol)
     assert str(exc.value) == message
 
 

@@ -564,3 +564,31 @@ def test_canonical_phase_commutes_with_powers_of_two(n, seed, k):
     if _normal(scaled) and _normal(want):  # both exact: no part rounded below the normal range
         assert _quiet(lambda: canonical_phase(scaled)).tobytes() == want.tobytes()
         assert _quiet(lambda: canonical_phase(scaled[None]))[0].tobytes() == want.tobytes()
+
+
+def test_singular_values_of_a_matrix_whose_squares_underflow():
+    # its squared moduli, 1e-340, underflowed to 0, and both sigmas read 0
+    for got in _quiet(lambda: _both_kernels([[1e-170, 0.0], [0.0, 1e-170]])):
+        assert got == pytest.approx((1e-170, 1e-170), rel=1e-15, abs=0.0)
+    for got in _quiet(lambda: _both_kernels([[5e-324, 0.0], [0.0, 5e-324j]])):
+        assert got == (5e-324, 5e-324)  # subnormal entries, scaled exactly
+    assert _both_kernels(np.zeros((2, 3))) == ((0.0, 0.0), (0.0, 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("near rank one", "zero row", "zero")),
+    _LOG_SIGMA2,
+    st.integers(260, 1074),
+)
+def test_sigmas_of_a_matrix_whose_squares_underflow_scale_with_it(n, seed, kind, log_sigma2, k):
+    # 2**-k m, its squares summing below 2**-500, has the sigmas of m times 2**-k, each rounded
+    # once, where 2**-k m is exact
+    m = _two_row_matrix(_rng(seed), n, kind, log_sigma2)
+    tiny = np.ldexp(m.view(np.float64), -k).view(np.complex128)
+    one_row, stacked = _quiet(lambda: _both_kernels(tiny))
+    assert one_row == stacked
+    if np.array_equal(np.ldexp(tiny.view(np.float64), k), m.view(np.float64)):
+        assert one_row == tuple(np.ldexp(singular_values_2xn(m), -k).tolist())

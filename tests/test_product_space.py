@@ -419,3 +419,44 @@ def test_factor_arrays_commutes_with_powers_of_two(rows, data):
         stack = singular_values_2xn_stack(scaled.reshape(len(rows), 2, -1))[1]
     assert A.tobytes() == a.tobytes() and B.tobytes() == b.tobytes()
     assert sigma2.tobytes() == stack.tobytes()
+
+
+def test_factor_arrays_reads_an_entangled_row_of_tiny_entries_as_entangled():
+    # sigma_2 of the 2 x 2 reshape, 1e-170 * I, read 0, the sigma of a product row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigma2 = factor_arrays(np.array([[1e-170, 0.0, 0.0, 1e-170]]))[2]
+    assert sigma2.tolist() == pytest.approx([1e-170], rel=1e-15, abs=0.0)
+
+
+def test_kron_past_the_float_range_reads_inf_without_a_warning():
+    # np.kron warned "overflow encountered in multiply"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = kron([1e200, 0.0], [1e200, 0.0])
+        a, b = np.array([1e154, 1e-10], dtype=complex), np.array([1e154, 1.0], dtype=complex)
+        near = kron(a, b)  # products up to 1e308, done on factors scaled down by 2**2
+        wide = kron([1e200, 1e-250], [1e200, 3.0])  # scaling 1e200 down takes 1e-250 to 0
+    assert out.tolist() == [complex(math.inf, 0.0), 0j, 0j, 0j]
+    assert near.tobytes() == np.kron(a, b).tobytes()
+    assert wide.tolist() == [complex(math.inf, 0.0), 3e200, 1e-50, 3e-250]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 2**32 - 1), st.integers(-1000, 1023), st.integers(-1000, 1023))
+def test_kron_commutes_with_powers_of_two(n, seed, j, k):
+    # kron(2**j a, 2**k b) is 2**(j + k) kron(a, b) wherever both are exact, past the float
+    # range of the factors' squares too; elsewhere it warns nowhere and reads no NaN
+    rng = _rng(seed)
+    a, b = _random_unit(rng, 2), _random_unit(rng, n)
+    x, y = (np.ldexp(v.view(np.float64), s).view(np.complex128) for v, s in ((a, j), (b, k)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kron(x, y)
+    assert not np.isnan(got).any()
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.ldexp(np.kron(a, b).view(np.float64), j + k).view(np.complex128)
+    pairs = ((a, x, j), (b, y, k), (np.kron(a, b), want, j + k))
+    exact = [np.array_equal(np.ldexp(w.view(np.float64), -s), v.view(np.float64)) for v, w, s in pairs]
+    if all(exact) and np.isfinite(want).all():
+        assert got.tobytes() == want.tobytes()

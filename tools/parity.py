@@ -24,7 +24,10 @@ Prints the call and digest counts, the first differences, each shown as the text
 around its first differing character, and, when stdout differs, in how many lines
 and up to what magnitude the numbers that differ on them go, so that a
 roundoff-only change reads as one; then each tree's `src/` line count, in total
-and per module.  Exits 1 on any difference, 2 on a usage error.
+and per module, and the lines of prodbase that each CLI command leaves compiled: the
+summed line counts of the prodbase modules loaded after one `main(argv)` in a fresh
+interpreter, on inputs that BASE writes.  Exits 1 on any difference, 2 on a usage error;
+the compiled lines do not change the exit code.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -50,6 +54,31 @@ MASK = "<work>"
 SHOWN = 10
 CONTEXT = 32  # characters shown on either side of a line's first difference
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+# The inputs of the compiled-lines probe, written by BASE, and each command it runs on them.
+INPUTS = (
+    ["generate", "4", "2+2", "--out", "short.json"],
+    ["generate", "64", "64", "--out", "long.json"],
+    ["family", "d4_mupb_triple", "--out", "triple.json"],
+)
+COMMANDS = {
+    "generate": ["generate", "16", "10+4+2", "--out", "g.json"],
+    "family": ["family", "d6_mub_triple", "--out", "m.json"],
+    "partitions": ["partitions", "6"],
+    "mub-check": ["mub-check", "triple_0.json", "triple_1.json", "triple_2.json"],
+    "verify short": ["verify", "short.json"],
+    "verify n=64": ["verify", "long.json"],
+    "classify short": ["classify", "short.json"],
+    "classify n=64": ["classify", "long.json"],
+}
+PROBE = """
+import contextlib, io, sys
+from pathlib import Path
+from prodbase.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+files = [m.__file__ for key, m in sys.modules.items() if key.partition(".")[0] == "prodbase"]
+print(code, sum(Path(f).read_bytes().count(b"\\n") for f in files))
+"""
 
 
 def _stamps(work: Path) -> dict[Path, int]:
@@ -255,17 +284,47 @@ def line_counts(tree: Path) -> str:
     return f"{sum(counts.values())} lines in src/ ({modules})"
 
 
+def _probe(tree: Path, argv: list[str], cwd: Path) -> tuple[str, str]:
+    """The exit code and the compiled line count of `main(argv)` in a fresh interpreter that
+    imports `tree`'s prodbase without bytecode, or ("failed", its stderr's last line)."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    child = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], env=env, cwd=cwd, capture_output=True, text=True
+    )
+    if child.returncode != 0 or not child.stdout:
+        return "failed", (child.stderr.strip().splitlines() or [""])[-1]
+    code, lines = child.stdout.split()[-2:]
+    return code, lines
+
+
+def compiled_lines(base: Path, trees: dict[str, Path], work: Path) -> dict[str, str]:
+    """Per tree, the lines of prodbase that each of COMMANDS leaves compiled, on INPUTS
+    written by `base` and copied into a work directory of the tree's own."""
+    inputs = work / "inputs"
+    inputs.mkdir(parents=True)
+    for argv in INPUTS:
+        _probe(base, argv, inputs)
+    found = {}
+    for side, tree in trees.items():
+        here = shutil.copytree(inputs, work / side)
+        counts = []
+        for name, argv in COMMANDS.items():
+            code, lines = _probe(tree, argv, here)
+            counts.append(f"{name} {lines}" + ("" if code == "0" else f" (exit {code})"))
+        found[side] = "lines compiled per command: " + ", ".join(counts)
+    return found
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
         print("usage: python tools/parity.py BASE NEW", file=sys.stderr)
         return 2
     base, new = (Path(arg).resolve() for arg in args)
+    trees = {"base": base, "new": new}
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
-        runs = [
-            run_tree(tree, base / "perfbench", Path(tmp) / side)
-            for side, tree in (("base", base), ("new", new))
-        ]
+        runs = [run_tree(tree, base / "perfbench", Path(tmp) / side) for side, tree in trees.items()]
+        compiled = compiled_lines(base, trees, Path(tmp) / "compiled")
     calls = [run["calls"] for run in runs]
     found = differences(*calls) + number_differences(*(run["numbers"] for run in runs))
     written = sum(len(r["written"]) for r in calls[0])
@@ -278,8 +337,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {line}")
     if size := stdout_size(*calls):
         print(size)
-    for side, tree in (("base", base), ("new", new)):
+    for side, tree in trees.items():
         print(f"{side}: {line_counts(tree)}")
+        print(f"{side}: {compiled[side]}")
     return 1 if found else 0
 
 
